@@ -18,7 +18,7 @@ from .dendro import _label_key, communities_from_cut, linkage_to_tree, parse_lin
 from .errors import AvgCutError, TooManyCutsError
 from .io import parse_edgelist, parse_newick
 from .oracle import DEFAULT_CUT_LIMIT, brute_force_optimum, count_cuts
-from .rational import decimal_approx
+from .rational import decimal_approx, exact_str
 from .tree import RootedTree
 
 
@@ -43,14 +43,14 @@ class RunReport:
         lines = [f"input_digest: {self.input_digest}", f"objective: {self.objective}"]
         if self.scheme is not None:
             lines.append(f"scheme: {self.scheme}")
-        lines.append(f"average: {self.average}")
+        lines.append(f"average: {exact_str(self.average)}")
         lines.append(f"average_decimal: {decimal_approx(self.average)}")
-        lines.append(f"total: {self.total}")
+        lines.append(f"total: {exact_str(self.total)}")
         lines.append(f"size: {self.size}")
         if self.contraction_count is not None:
             lines.append(f"contraction_count: {self.contraction_count}")
         if self.cut_count is not None:
-            lines.append(f"cut_count: {self.cut_count}")
+            lines.append(f"cut_count: {exact_str(self.cut_count)}")
         if self.communities is not None:
             for members in self.communities:
                 lines.append("community: " + " ".join(members))
@@ -81,7 +81,7 @@ def _load_tree(path: str, fmt: str) -> tuple[RootedTree, str]:
 
 def _cut_rows(tree: RootedTree, cut) -> tuple[tuple[str, str, str], ...]:
     return tuple(
-        (tree.labels[tree.tail(e)], tree.labels[e], str(tree.weights[e]))
+        (tree.labels[tree.tail(e)], tree.labels[e], exact_str(tree.weights[e]))
         for e in sorted(cut)
     )
 
@@ -139,7 +139,7 @@ def _cmd_count(args) -> int:
     total = count_cuts(tree)
     elapsed = time.perf_counter() - started
     print(f"input_digest: {digest}")
-    print(f"cut_count: {total}")
+    print(f"cut_count: {exact_str(total)}")
     print(f"elapsed_ms: {elapsed * 1000:.3f}")
     return 0
 

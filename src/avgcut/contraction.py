@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
+from .rational import exact_str
 from .tree import EdgeId, NodeId, RootedTree
 
 
@@ -109,7 +109,7 @@ class Contractibility:
             return "+inf"
         if self._rank < 0:
             return "-inf"
-        return str(self._value)
+        return exact_str(self._value)
 
     def __repr__(self) -> str:
         return f"Contractibility({self})"
@@ -221,26 +221,18 @@ class ContractionState:
         n = tree.node_count
         root = tree.root
 
-        self._scale = reduce(math.lcm, (w.denominator for w in tree.weights), 1)
-        scale = self._scale
-        self._w = [
-            w.numerator * (scale // w.denominator) for w in tree.weights
-        ]  # root slot unused
+        self._scale, self._w = tree.scaled_weights  # root slot unused
 
         self._uf = list(range(n))
         self._uf_size = [1] * n
         # Per-representative aggregates over live out-edges, and the topmost
         # original node of each supernode (whose in-edge is the supernode's).
-        self._sum = [0] * n
-        self._cnt = [0] * n
+        w_at = self._w.__getitem__
+        self._sum = [sum(map(w_at, kids)) for kids in tree.children]
+        self._cnt = [len(kids) for kids in tree.children]
         self._top = list(range(n))
-        w = self._w
-        for v in range(n):
-            kids = tree.children[v]
-            self._cnt[v] = len(kids)
-            self._sum[v] = sum(w[c] for c in kids)
 
-        self._alive = bytearray(1 for _ in range(n))
+        self._alive = bytearray(b"\x01") * n
         self._alive[root] = 0  # the root has no in-edge
 
         self._gen = [0] * n

@@ -24,11 +24,13 @@ from .errors import (
     InvalidCutError,
     LinkageError,
     LinkageIndexError,
+    MalformedWeightError,
     NegativeGapError,
     ParseError,
     ZeroWeightWarning,
 )
 from .oracle import is_valid_cut
+from .rational import exact_str, parse_rational
 from .tree import RootedTree, from_edges
 
 
@@ -133,8 +135,8 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
             gap = merge.height - table.cluster_height(side)
             if gap < 0:
                 raise NegativeGapError(
-                    f"merge {k} at height {merge.height} is below cluster "
-                    f"{side} at height {table.cluster_height(side)}"
+                    f"merge {k} at height {exact_str(merge.height)} is below cluster "
+                    f"{side} at height {exact_str(table.cluster_height(side))}"
                 )
             weight = gap if scheme == "gap" else merge.height
             triples.append((parent_label, table.cluster_label(side), weight))
@@ -202,8 +204,8 @@ def parse_linkage_csv(text: str) -> LinkageTable:
         except ValueError:
             raise ParseError("left, right, and size must be integers", line=lineno) from None
         try:
-            height = Fraction(height_text)
-        except (ValueError, ZeroDivisionError):
+            height = parse_rational(height_text)
+        except MalformedWeightError:
             raise ParseError(f"not a decimal height: {height_text!r}", line=lineno) from None
         merges.append(Merge(left, right, height, size))
     return LinkageTable(n_items=len(merges) + 1, merges=tuple(merges))

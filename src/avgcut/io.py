@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     UnbalancedParensError,
 )
-from .rational import parse_weight
+from .rational import exact_str, parse_weight
 from .tree import RootedTree, from_edges
 
 
@@ -60,7 +60,7 @@ def format_edgelist(t: RootedTree) -> str:
     edge list serializes identically; re-parsing yields an isomorphic tree.
     """
     rows = sorted(
-        (t.labels[t.tail(e)], t.labels[e], str(t.weights[e])) for e in t.edges()
+        (t.labels[t.tail(e)], t.labels[e], exact_str(t.weights[e])) for e in t.edges()
     )
     return "".join("\t".join(row) + "\n" for row in rows)
 

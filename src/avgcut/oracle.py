@@ -14,10 +14,8 @@ it exists to check the contraction engine, not to replace it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator
 
 from .contraction import (
@@ -32,6 +30,7 @@ from .errors import (
     PreconditionError,
     TooManyCutsError,
 )
+from .rational import exact_str
 from .tree import EdgeId, NodeId, RootedTree, contract_edge
 
 DEFAULT_CUT_LIMIT = 10**7
@@ -79,9 +78,7 @@ class _Prep:
 
     def __init__(self, t: RootedTree):
         n = t.node_count
-        self.scale = reduce(math.lcm, (w.denominator for w in t.weights), 1)
-        scale = self.scale
-        self.w = [w.numerator * (scale // w.denominator) for w in t.weights]
+        self.scale, self.w = t.scaled_weights
         self.leaf_edges = [
             [c for c in t.children[v] if not t.children[c]] for v in range(n)
         ]
@@ -172,7 +169,7 @@ def _walk(t: RootedTree, prep: _Prep) -> Iterator[tuple[list, set, int, int]]:
 def _check_limit(t: RootedTree, limit: int) -> None:
     total = count_cuts(t)
     if total > limit:
-        raise TooManyCutsError(f"{total} cuts exceed the limit of {limit}")
+        raise TooManyCutsError(f"{exact_str(total)} cuts exceed the limit of {limit}")
 
 
 def enumerate_cuts(

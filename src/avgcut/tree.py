@@ -8,9 +8,11 @@ kept sorted by id so every traversal downstream is deterministic.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -20,10 +22,12 @@ from .errors import (
     TreeError,
     ZeroWeightWarning,
 )
-from .rational import parse_weight
+from .rational import exact_str, parse_weight
 
 NodeId = int
 EdgeId = int  # the id of the edge's head node
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,19 @@ class RootedTree:
     weights: tuple[Fraction, ...]
     labels: tuple[str, ...]
     label_index: dict[str, NodeId] = field(repr=False, compare=False, default_factory=dict)
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, ints)``: the least common denominator of all weights and
+        every weight times it, so ``weights[v] == Fraction(ints[v], scale)``.
+
+        Computed on first use and kept; the exact engines run on these ints.
+        """
+        weights = self.weights
+        dens = {w.denominator for w in weights}
+        scale = math.lcm(*dens)
+        factor = {d: scale // d for d in dens}
+        return scale, tuple(w.numerator * factor[w.denominator] for w in weights)
 
     # --- elementary queries ------------------------------------------- #
 
@@ -102,68 +119,67 @@ class RootedTree:
             raise TreeError(f"{child_label!r} is the root; it has no in-edge")
         return v
 
-    def edge_triple(self, e: EdgeId) -> tuple[str, str, Fraction]:
-        """(parent label, child label, weight) for edge ``e``."""
-        return self.labels[self.tail(e)], self.labels[e], self.weights[e]
-
 
 def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
     """Build a validated RootedTree from (parent, child, weight) label triples.
 
     Node ids follow first appearance; the root is the unique label that never
-    appears as a child. Raises DuplicateParentError when a child label repeats,
+    appears as a child. Weights may be Fractions or anything ``Fraction()``
+    accepts. Raises DuplicateParentError when a child label repeats,
     NotATreeError when the parent relation is not a single rooted tree, and
     NegativeWeightError for weights below zero.
     """
-    edge_list = list(edges)
-    if not edge_list:
-        raise NotATreeError("no edges given")
-
     ids: dict[str, NodeId] = {}
     labels: list[str] = []
-
-    def intern(label: str) -> NodeId:
-        v = ids.get(label)
-        if v is None:
-            v = len(labels)
-            ids[label] = v
-            labels.append(label)
-        return v
-
     parent: list[NodeId | None] = []
-    weight: list[Fraction] = []
+    weight: list[Fraction] = []  # the root keeps the shared zero
     saw_zero = False
-    for parent_label, child_label, w in edge_list:
-        w = Fraction(w)
-        u = intern(parent_label)
-        c = intern(child_label)
-        while len(parent) < len(labels):
+    for parent_label, child_label, w in edges:
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        u = ids.get(parent_label)
+        if u is None:
+            u = ids[parent_label] = len(labels)
+            labels.append(parent_label)
             parent.append(None)
-            weight.append(Fraction(0))
+            weight.append(_ZERO)
+        c = ids.get(child_label)
+        if c is None:
+            c = ids[child_label] = len(labels)
+            labels.append(child_label)
+            parent.append(None)
+            weight.append(_ZERO)
         if parent[c] is not None:
             raise DuplicateParentError(f"child label {child_label!r} has two in-edges")
         if c == u:
             raise NotATreeError(f"self-loop at {child_label!r}")
-        if w < 0:
-            raise NegativeWeightError(f"negative weight on edge to {child_label!r}: {w}")
-        if w == 0:
+        num = w.numerator
+        if num < 0:
+            raise NegativeWeightError(
+                f"negative weight on edge to {child_label!r}: {exact_str(w)}"
+            )
+        if not num:
             saw_zero = True
         parent[c] = u
         weight[c] = w
+    if not labels:
+        raise NotATreeError("no edges given")
 
-    roots = [v for v in range(len(labels)) if parent[v] is None]
+    n = len(labels)
+    roots = []
+    # Ascending v, so every children list comes out sorted.
+    children: list[list[NodeId]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is None:
+            roots.append(v)
+        else:
+            children[p].append(v)
     if len(roots) != 1:
         if not roots:
             raise NotATreeError("no root: every label has a parent (cycle)")
         names = ", ".join(repr(labels[v]) for v in roots)
         raise NotATreeError(f"not connected: multiple parentless labels ({names})")
     root = roots[0]
-
-    n = len(labels)
-    children: list[list[NodeId]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != root:
-            children[parent[v]].append(v)  # type: ignore[index]
 
     # Reachability from the root catches cycles hanging off a valid-looking root.
     seen = 1
@@ -187,7 +203,7 @@ def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
         node_count=n,
         root=root,
         parent=tuple(parent),
-        children=tuple(tuple(sorted(cs)) for cs in children),
+        children=tuple(map(tuple, children)),
         weights=tuple(weight),
         labels=tuple(labels),
         label_index=ids,

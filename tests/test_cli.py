@@ -1,3 +1,5 @@
+import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -103,6 +105,70 @@ class TestCutCommand:
         code, _, err = run(capsys, "cut", "--input", str(path))
         assert code == 1
         assert "line 1" in err
+
+
+class TestHugeValues:
+    def test_exponent_past_the_bound_is_a_line_numbered_error(self, capsys, tmp_path):
+        path = tmp_path / "tiny.edges"
+        path.write_text("r b 1\nr a 1e-100001\n")
+        code, out, err = run(capsys, "cut", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2:") and "exponent" in err
+
+    def test_exponent_within_the_bound_prints_exactly(self, capsys, tmp_path):
+        path = tmp_path / "tiny.edges"
+        path.write_text("r b 1\nr a 1e-5000\n")
+        code, out, err = run(capsys, "cut", "--input", str(path))
+        assert code == 0 and err == ""
+        report = parse_report(out)
+        expected = (1 + Fraction(1, 10**5000)) / 2
+        num_text, den_text = report["average"].split("/")
+        assert decimal.Decimal(num_text) == decimal.Decimal(expected.numerator)
+        assert decimal.Decimal(den_text) == decimal.Decimal(expected.denominator)
+        assert "cut: r a 1/1" + "0" * 5000 in out
+
+    def test_average_past_the_int_digit_limit_prints_exactly(self, capsys, tmp_path):
+        # One cut (the star's leaves); its average has every prime below
+        # 20000 in its denominator, about 8,700 digits.
+        primes = [p for p in range(2, 20000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        path = tmp_path / "star.edges"
+        path.write_text("".join(f"r l{p} 1/{p}\n" for p in primes))
+        code, out, err = run(capsys, "cut", "--input", str(path))
+        assert code == 0 and err == ""
+        report = parse_report(out)
+        expected = sum(Fraction(1, p) for p in primes) / len(primes)
+        num_text, den_text = report["average"].split("/")
+        assert len(den_text) > 4300
+        assert decimal.Decimal(num_text) == decimal.Decimal(expected.numerator)
+        assert decimal.Decimal(den_text) == decimal.Decimal(expected.denominator)
+        assert report["size"] == str(len(primes))
+        assert float(report["average_decimal"]) == pytest.approx(float(expected))
+
+    # A root with k children, each with one leaf child, has 2**k cuts:
+    # 15,000 branches make a count of about 4,500 digits.
+    BROOM_BRANCHES = 15_000
+
+    @pytest.fixture
+    def broom_file(self, tmp_path):
+        path = tmp_path / "broom.edges"
+        path.write_text(
+            "".join(f"r m{i} 1\nm{i} l{i} 2\n" for i in range(self.BROOM_BRANCHES))
+        )
+        return path
+
+    def test_cut_count_past_the_int_digit_limit_prints_exactly(self, capsys, broom_file):
+        code, out, err = run(capsys, "count", "--input", str(broom_file))
+        assert code == 0 and err == ""
+        count_text = parse_report(out)["cut_count"]
+        assert len(count_text) > 4300
+        assert decimal.Decimal(count_text) == decimal.Decimal(2**self.BROOM_BRANCHES)
+
+    def test_oracle_limit_past_the_int_digit_limit_exits_2(self, capsys, broom_file):
+        code, out, err = run(capsys, "oracle", "--input", str(broom_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "cuts exceed the limit" in err
+        count_text = err.split("error: ", 1)[1].split()[0]
+        assert decimal.Decimal(count_text) == decimal.Decimal(2**self.BROOM_BRANCHES)
 
 
 class TestOracleCommand:

@@ -216,6 +216,22 @@ class TestLinkageCsv:
         table = parse_linkage_csv("left,right,height,size\n0,1,0.1,2\n")
         assert table.merges[0].height == Fraction(1, 10)
 
+    def test_height_literal_forms(self):
+        table = parse_linkage_csv("left,right,height,size\n0,1,3/4,2\n3,2,1.5e1,3\n")
+        assert [m.height for m in table.merges] == [Fraction(3, 4), 15]
+
+    @pytest.mark.parametrize("height", ["abc", "1/0", "1e-100001", "0x10"])
+    def test_malformed_height_line_numbered(self, height):
+        with pytest.raises(ParseError) as exc:
+            parse_linkage_csv(f"left,right,height,size\n0,1,1,2\n3,2,{height},3\n")
+        assert exc.value.line == 3
+
+    def test_negative_height_rejected_late(self):
+        table = parse_linkage_csv("left,right,height,size\n0,1,-1,2\n")
+        assert table.merges[0].height == -1
+        with pytest.raises(NegativeGapError):
+            linkage_to_tree(table)
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_linkage_csv("a,b,c,d\n0,1,1,2\n")

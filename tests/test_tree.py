@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -11,7 +14,7 @@ from avgcut.errors import (
     ZeroWeightWarning,
 )
 
-from .helpers import path_tree, star_tree
+from .helpers import path_tree, random_tree, star_tree
 
 
 class TestBuildTree:
@@ -77,6 +80,17 @@ class TestBuildTree:
         with pytest.raises(NotATreeError):
             build_tree([])
 
+    def test_int_str_and_fraction_weights(self):
+        t = from_edges([("r", "a", 2), ("r", "b", "1/3"), ("a", "x", Fraction(5, 2))])
+        weights = [t.edge_weight(t.edge_by_child(c)) for c in ("a", "b", "x")]
+        assert weights == [2, Fraction(1, 3), Fraction(5, 2)]
+        assert all(type(w) is Fraction for w in t.weights)
+
+    def test_negative_fraction_and_int_weights_rejected(self):
+        for bad in (-1, Fraction(-1, 3), "-2"):
+            with pytest.raises(NegativeWeightError):
+                from_edges([("r", "a", 1), ("r", "b", bad)])
+
 
 class TestQueries:
     def test_leaves_of_path(self):
@@ -141,6 +155,33 @@ class TestInvariants:
     def test_children_sorted(self, figure_tree):
         for kids in figure_tree.children:
             assert list(kids) == sorted(kids)
+
+    def test_children_ascending_when_children_precede_parents(self):
+        rng = random.Random(5)
+        rows = [(f"n{rng.randrange(i)}", f"n{i}", i % 4 + 1) for i in range(1, 300)]
+        rng.shuffle(rows)
+        t = from_edges(rows)
+        for v, kids in enumerate(t.children):
+            assert list(kids) == sorted(kids)
+            assert all(t.parent[c] == v for c in kids)
+        assert sum(map(len, t.children)) == t.node_count - 1
+
+    def test_scaled_weights_match_per_weight_lcm(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            t = random_tree(rng)
+            scale = reduce(math.lcm, (w.denominator for w in t.weights), 1)
+            ints = tuple(w.numerator * (scale // w.denominator) for w in t.weights)
+            assert t.scaled_weights == (scale, ints)
+            assert t.scaled_weights is t.scaled_weights  # computed once
+
+    def test_scaled_weights_over_distinct_prime_denominators(self):
+        primes = [3, 7, 11, 13, 101, 103]
+        rows = [("r", f"l{p}", Fraction(p + 1, p)) for p in primes]
+        t = from_edges(rows + [("r", "twice", Fraction(2, 7)), ("r", "ten", "0.1")])
+        scale, ints = t.scaled_weights
+        assert scale == math.prod(primes) * 10
+        assert all(Fraction(i, scale) == w for i, w in zip(ints, t.weights))
 
     def test_label_permutation_gives_isomorphic_tree(self):
         from avgcut import format_edgelist
