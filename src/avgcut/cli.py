@@ -133,8 +133,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    text, digest = _read(args.input)
-    tree = parse_edgelist(text)
+    tree, digest = _load_tree(args.input, "edgelist")
     started = time.perf_counter()
     total = count_cuts(tree)
     elapsed = time.perf_counter() - started

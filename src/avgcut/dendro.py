@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -27,11 +26,12 @@ from .errors import (
     MalformedWeightError,
     NegativeGapError,
     ParseError,
-    ZeroWeightWarning,
 )
 from .oracle import is_valid_cut
 from .rational import exact_str, parse_rational
-from .tree import RootedTree, from_edges
+from .tree import RootedTree
+
+_ZERO = Fraction(0)  # the height of every item
 
 
 class Merge(NamedTuple):
@@ -49,10 +49,10 @@ class LinkageTable:
     """A hierarchical-clustering merge sequence over ``n_items`` items.
 
     Cluster indices below n_items are original items; index n_items + k is
-    the cluster formed by merge k. Structural validation happens here;
-    height monotonicity is checked when a tree is synthesized, so that
-    non-monotone tables can still be constructed and rejected late with a
-    precise error.
+    the cluster formed by merge k. Structural validation happens here; that
+    no merge sits below a cluster it absorbs is checked when a tree is
+    synthesized, so that such tables can still be constructed and rejected
+    late with a precise error.
     """
 
     n_items: int
@@ -66,31 +66,31 @@ class LinkageTable:
             raise LinkageError(
                 f"expected {n - 1} merges for {n} items, got {len(self.merges)}"
             )
-        used: set[int] = set()
-        for k, merge in enumerate(self.merges):
-            if merge.left == merge.right:
-                raise LinkageIndexError(f"merge {k} joins cluster {merge.left} with itself")
-            for side in (merge.left, merge.right):
+        sizes = [1] * n  # per cluster index
+        used = bytearray(2 * n - 1)
+        for k, (left, right, _height, size) in enumerate(self.merges):
+            if left == right:
+                raise LinkageIndexError(f"merge {k} joins cluster {left} with itself")
+            for side in (left, right):
                 if not (0 <= side < n + k):
                     raise LinkageIndexError(
                         f"merge {k} references cluster {side}, valid range is 0..{n + k - 1}"
                     )
-                if side in used:
+                if used[side]:
                     raise LinkageIndexError(
                         f"cluster {side} is merged twice (second time in merge {k})"
                     )
-                used.add(side)
-            expected = self.cluster_size(merge.left) + self.cluster_size(merge.right)
-            if merge.size != expected:
-                raise LinkageError(
-                    f"merge {k} claims size {merge.size}, children sum to {expected}"
-                )
+                used[side] = 1
+            expected = sizes[left] + sizes[right]
+            if size != expected:
+                raise LinkageError(f"merge {k} claims size {size}, children sum to {expected}")
+            sizes.append(size)
 
     def cluster_size(self, index: int) -> int:
         return 1 if index < self.n_items else self.merges[index - self.n_items].size
 
     def cluster_height(self, index: int) -> Fraction:
-        return Fraction(0) if index < self.n_items else self.merges[index - self.n_items].height
+        return _ZERO if index < self.n_items else self.merges[index - self.n_items].height
 
     def cluster_label(self, index: int) -> str:
         """Items keep their index as label; merged clusters get a c-prefix."""
@@ -123,27 +123,59 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
 
     Edge weights: ``gap`` is parent merge height minus child height (items
     sit at height 0); ``height`` is the parent merge height itself. Raises
-    NegativeGapError when heights decrease along the table.
+    NegativeGapError when a merge sits below a cluster it absorbs.
     """
     if scheme not in ("gap", "height"):
         raise ValueError(f"unknown weight scheme: {scheme!r}")
+    gap_weights = scheme == "gap"
     n = table.n_items
-    triples = []
-    for k, merge in enumerate(table.merges):
-        parent_label = table.cluster_label(n + k)
-        for side in (merge.left, merge.right):
-            gap = merge.height - table.cluster_height(side)
-            if gap < 0:
+    node_count = 2 * n - 1
+    # Node ids follow first appearance over the (parent, left), (parent,
+    # right) edge sequence, as from_edges would assign them, so reports
+    # (ordered by edge id) do not change: merge k's cluster is new at merge
+    # k, and an item is new at its only merge. LinkageTable's validation
+    # makes the merges exactly one binary tree, rooted at cluster 2n - 2.
+    parent: list[int | None] = [None] * node_count
+    children: list[tuple[int, ...]] = [()] * node_count
+    weights = [_ZERO] * node_count
+    labels: list[str] = []
+    cluster_node: list[int] = []  # node id of cluster n + k
+    cluster_height: list[Fraction] = []  # height of cluster n + k
+    for k, (left, right, height, _size) in enumerate(table.merges):
+        if type(height) is not Fraction:
+            height = Fraction(height)
+        u = len(labels)
+        labels.append(f"c{n + k}")
+        pair = []
+        for side in (left, right):
+            if side < n:
+                gap = height
+                c = len(labels)
+                labels.append(str(side))
+            else:
+                gap = height - cluster_height[side - n]
+                c = cluster_node[side - n]
+            if gap.numerator < 0:
                 raise NegativeGapError(
-                    f"merge {k} at height {exact_str(merge.height)} is below cluster "
-                    f"{side} at height {exact_str(table.cluster_height(side))}"
+                    f"merge {k} at height {exact_str(table.merges[k].height)} is below "
+                    f"cluster {side} at height {exact_str(table.cluster_height(side))}"
                 )
-            weight = gap if scheme == "gap" else merge.height
-            triples.append((parent_label, table.cluster_label(side), weight))
-    with warnings.catch_warnings():
-        # Equal merge heights legitimately produce zero gaps.
-        warnings.simplefilter("ignore", ZeroWeightWarning)
-        return from_edges(triples)
+            parent[c] = u
+            weights[c] = gap if gap_weights else height
+            pair.append(c)
+        a, b = pair
+        children[u] = (a, b) if a < b else (b, a)
+        cluster_node.append(u)
+        cluster_height.append(height)
+    return RootedTree(
+        node_count=node_count,
+        root=cluster_node[-1],
+        parent=tuple(parent),
+        children=tuple(children),
+        weights=tuple(weights),
+        labels=tuple(labels),
+        label_index=dict(zip(labels, range(node_count))),
+    )
 
 
 def communities_from_cut(t: RootedTree, cut) -> Partition:
@@ -180,11 +212,8 @@ def parse_linkage_csv(text: str) -> LinkageTable:
     m merge rows describe m + 1 items.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(reader, start=1)
-        if row and any(cell.strip() for cell in row)
-    ]
+    # Rows with no non-whitespace cell are skipped.
+    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if "".join(row).strip()]
     if not rows:
         raise ParseError("empty linkage CSV")
     header_line, header_row = rows[0]
@@ -198,11 +227,21 @@ def parse_linkage_csv(text: str) -> LinkageTable:
     for lineno, row in rows[1:]:
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        left_text, right_text, height_text, size_text = (cell.strip() for cell in row)
+        left_text, right_text, height_text, size_text = row
         try:
-            left, right, size = int(left_text), int(right_text), int(size_text)
+            try:
+                left, right, size = int(left_text), int(right_text), int(size_text)
+            except ValueError:
+                # int() skips surrounding whitespace except U+001C..U+001F,
+                # which str.strip removes too.
+                left, right, size = (
+                    int(left_text.strip()),
+                    int(right_text.strip()),
+                    int(size_text.strip()),
+                )
         except ValueError:
             raise ParseError("left, right, and size must be integers", line=lineno) from None
+        height_text = height_text.strip()
         try:
             height = parse_rational(height_text)
         except MalformedWeightError:

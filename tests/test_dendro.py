@@ -1,6 +1,9 @@
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcut import (
     LinkageTable,
@@ -10,6 +13,7 @@ from avgcut import (
     cluster,
     communities_from_cut,
     enumerate_cuts,
+    from_edges,
     linkage_to_tree,
     optimal_average_cut,
     parse_linkage_csv,
@@ -20,6 +24,7 @@ from avgcut.errors import (
     LinkageIndexError,
     NegativeGapError,
     ParseError,
+    ZeroWeightWarning,
 )
 
 from .helpers import edge_set_by_children, figure_max_cut_children
@@ -55,6 +60,10 @@ class TestLinkageTable:
         assert three_item_table.cluster_height(3) == 1
         assert three_item_table.cluster_label(0) == "0"
         assert three_item_table.cluster_label(4) == "c4"
+
+    def test_item_height_is_a_shared_zero(self, three_item_table):
+        assert three_item_table.cluster_height(0) == 0
+        assert three_item_table.cluster_height(0) is three_item_table.cluster_height(2)
 
     def test_wrong_merge_count(self):
         with pytest.raises(LinkageError):
@@ -114,6 +123,91 @@ class TestLinkageToTree:
     def test_unknown_scheme_rejected(self, three_item_table):
         with pytest.raises(ValueError):
             linkage_to_tree(three_item_table, "area")
+
+
+@st.composite
+def linkage_tables(draw):
+    """A valid table over 2..12 items: random merge order, each merge at or
+    above both clusters it absorbs (so tied heights and zero gaps occur, and
+    heights need not be monotone along the table), int or Fraction heights."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    active = list(range(n))
+    height_of = [Fraction(0)] * n
+    merges = []
+    size = [1] * n
+    for k in range(n - 1):
+        pair = []
+        for _ in range(2):
+            j = draw(st.integers(min_value=0, max_value=len(active) - 1))
+            active[j], active[-1] = active[-1], active[j]
+            pair.append(active.pop())
+        left, right = pair
+        rise = draw(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=3),
+                st.fractions(min_value=0, max_value=3, max_denominator=6),
+            )
+        )
+        height = max(height_of[left], height_of[right]) + rise
+        if height.denominator == 1 and draw(st.booleans()):
+            height = int(height)
+        merges.append(Merge(left, right, height, size[left] + size[right]))
+        height_of.append(Fraction(height))
+        size.append(size[left] + size[right])
+        active.append(n + k)
+    return LinkageTable(n_items=n, merges=tuple(merges))
+
+
+def reference_tree(table, scheme):
+    """The tree from_edges builds from (c{parent}, label, weight) triples."""
+    n = table.n_items
+    height_of = [Fraction(0)] * n + [Fraction(m.height) for m in table.merges]
+    triples = []
+    for k, merge in enumerate(table.merges):
+        for side in (merge.left, merge.right):
+            label = str(side) if side < n else f"c{side}"
+            parent_height = height_of[n + k]
+            weight = parent_height - height_of[side] if scheme == "gap" else parent_height
+            triples.append((f"c{n + k}", label, weight))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroWeightWarning)
+        return from_edges(triples)
+
+
+class TestDirectBuild:
+    """linkage_to_tree builds the tree itself; from_edges is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(linkage_tables(), st.sampled_from(["gap", "height"]))
+    def test_matches_from_edges(self, table, scheme):
+        t = linkage_to_tree(table, scheme)
+        ref = reference_tree(table, scheme)
+        assert t.node_count == ref.node_count
+        assert t.root == ref.root
+        assert t.parent == ref.parent
+        assert t.children == ref.children
+        assert t.weights == ref.weights
+        assert all(type(w) is Fraction for w in t.weights)
+        assert t.labels == ref.labels
+        assert t.label_index == ref.label_index
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 1, 5, 2), (3, 2, 1, 3)], "merge 1 at height 1 is below cluster 3 at height 5"),
+            ([(0, 1, -1, 2)], "merge 0 at height -1 is below cluster 0 at height 0"),
+            (
+                [(0, 1, Fraction(1, 2), 2), (2, 3, Fraction(1, 3), 3)],
+                "merge 1 at height 1/3 is below cluster 3 at height 1/2",
+            ),
+        ],
+    )
+    def test_negative_gap_message(self, rows, message):
+        for scheme in ("gap", "height"):
+            with pytest.raises(NegativeGapError) as exc:
+                linkage_to_tree(make_table(rows), scheme)
+            assert str(exc.value) == message
 
 
 class TestCommunities:
@@ -248,3 +342,44 @@ class TestLinkageCsv:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_linkage_csv("")
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            " 0 , 1 , 1 , 2 ",
+            "\t0\t,\t1\t,\t1\t,\t2\t",
+            "\x1c0\x1f,\x1d1\x1e,\x1c1\x1c,2\x1c",
+            "\xa00\x85,\u20001,1,2",
+            "0_0,1,1,2",
+        ],
+    )
+    def test_padded_cells_and_underscored_indices(self, row):
+        table = parse_linkage_csv(f"left,right,height,size\n{row}\n")
+        assert table == make_table([(0, 1, 1, 2)])
+
+    def test_blank_and_whitespace_rows_skipped_but_counted(self):
+        text = "\nleft,right,height,size\n\n , ,\t, \n\x1c\n,,,\n0,1,1,2\n\n3,2,abc,3\n"
+        with pytest.raises(ParseError) as exc:
+            parse_linkage_csv(text)
+        assert exc.value.line == 9
+        assert str(exc.value) == "line 9: not a decimal height: 'abc'"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,\x1c,2", "not a decimal height: ''"),
+            ("0,1, \t,2", "not a decimal height: ''"),
+            ("0,1, 1 / 2 ,2", "not a decimal height: '1 / 2'"),
+            ("0,1,\x1c0x10,2", "not a decimal height: '0x10'"),
+            ("0,\x1cx,1,2", "left, right, and size must be integers"),
+            ("0,1,1,2.0", "left, right, and size must be integers"),
+            ("0,1,1,", "left, right, and size must be integers"),
+            ("0,1,1", "expected 4 fields, got 3"),
+            ("0,1,1,2,", "expected 4 fields, got 5"),
+        ],
+    )
+    def test_malformed_row_messages(self, row, message):
+        with pytest.raises(ParseError) as exc:
+            parse_linkage_csv(f"left,right,height,size\n \n{row}\n")
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message}"
