@@ -8,16 +8,20 @@ contractibility is the average weight its head's out-edges would add to a
 cut that swapped the edge for them: (out_sum - weight) / (out_degree - 1).
 
 Every comparison is exact. Weights are scaled once by their least common
-denominator so the hot path runs on plain integers, and the priority queue
-keys each candidate by a float approximation first with an exact
-cross-multiplied ratio as tiebreak; float rounding is monotone, so the
-composite key orders exactly while most comparisons stay on machine floats.
+denominator so the hot path runs on plain integers. The priority queue keys
+each candidate by the correctly rounded float of its true, unscaled value,
+and only two equal floats fall through to an exact cross-multiplied ratio;
+rounding is monotone, so the composite key orders exactly while almost every
+comparison stays on machine floats, even when the scaled integers run to
+tens of thousands of bits. Infinite contractibilities key as float
+infinities and carry no ratio at all.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,6 +30,8 @@ from typing import NamedTuple
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
 from .rational import exact_str
 from .tree import EdgeId, NodeId, RootedTree
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class Objective(Enum):
@@ -102,7 +108,9 @@ class Contractibility:
         return NotImplemented if key is None else self._key() >= key
 
     def __hash__(self):
-        return hash(self._key())
+        # A finite value equals the int or Fraction it holds, so it must hash
+        # like it.
+        return hash(self._value) if self._rank == 0 else hash(self._rank * math.inf)
 
     def __str__(self) -> str:
         if self._rank > 0:
@@ -158,10 +166,10 @@ class CutResult:
 
 
 class _ExactRatio:
-    """Exact heap-key tiebreak: num/den by cross multiplication.
+    """Exact heap-key tiebreak: num/den by cross multiplication, den >= 1.
 
-    den >= 0; den == 0 with num = +-1 encodes the infinities, which the
-    same cross multiplication orders correctly against finite values.
+    Compared only between entries whose float keys are equal, so it never
+    meets an infinity.
     """
 
     __slots__ = ("num", "den")
@@ -179,14 +187,23 @@ class _ExactRatio:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _approx(num: int, den: int) -> float:
-    # Correctly rounded, so float order never contradicts exact order.
-    if den == 0:
-        return math.inf if num > 0 else -math.inf
+def _heap_key(num_o: int, den_o: int, scale: int) -> tuple[float, _ExactRatio | None]:
+    """Heap key ``(float, tiebreak)`` of the oriented contractibility
+    ``num_o / (den_o * scale)``; ``den_o == 0`` is an infinity (``-inf`` when
+    ``num_o < 0``, else ``+inf``) and carries no tiebreak.
+
+    The float is the correctly rounded true value, so it is monotone in the
+    exact value, and two keys fall through to the exact tiebreak only when
+    their floats are equal. Finite values beyond the float range clamp to
+    +-``sys.float_info.max`` so that they never tie with a true infinity.
+    """
+    if not den_o:
+        return (-math.inf if num_o < 0 else math.inf), None
     try:
-        return num / den
+        key = num_o / (den_o * scale)
     except OverflowError:
-        return math.inf if num > 0 else -math.inf
+        key = -_FLOAT_MAX if num_o < 0 else _FLOAT_MAX
+    return key, _ExactRatio(num_o, den_o)
 
 
 def _pair(weight: int, out_sum: int, out_count: int, maximize: bool) -> tuple[int, int]:
@@ -218,6 +235,9 @@ class ContractionState:
         self.tree = tree
         self.objective = objective
         self._maximize = objective is Objective.MAXIMIZE
+        # Heap keys and the stop test use the value oriented so that the
+        # min-heap pops the best edge first: negated under MAXIMIZE.
+        self._sign = -1 if self._maximize else 1
         n = tree.node_count
         root = tree.root
 
@@ -236,8 +256,18 @@ class ContractionState:
         self._alive[root] = 0  # the root has no in-edge
 
         self._gen = [0] * n
-        self._heap = [self._entry(e) for e in tree.internal_edges()]
-        heapq.heapify(self._heap)
+        # Heap entries are (float key, tiebreak, edge, generation). Before
+        # any contraction every node is its own representative.
+        sign = self._sign
+        scale = self._scale
+        w, sums, cnts = self._w, self._sum, self._cnt
+        heap = []
+        append = heap.append
+        for e in tree.internal_edges():
+            key, tie = _heap_key(sign * (sums[e] - w[e]), cnts[e] - 1, scale)
+            append((key, tie, e, 0))
+        heapq.heapify(heap)
+        self._heap = heap
 
         self.contractions: list[EdgeId] = []
         # Raw step log: (edge, lam_num, lam_den, alpha_num, alpha_den, merged_root).
@@ -262,18 +292,12 @@ class ContractionState:
 
     # --- priority queue -------------------------------------------------- #
 
-    def _entry(self, e: EdgeId):
-        r = self._find(e)
-        num, den = _pair(self._w[e], self._sum[r], self._cnt[r], self._maximize)
-        if self._maximize:
-            num_o, den_o = -num, den  # min-heap on the negated value
-        else:
-            num_o, den_o = num, den
-        return (_approx(num_o, den_o), _ExactRatio(num_o, den_o), e, self._gen[e], num, den)
-
     def _push(self, e: EdgeId) -> None:
-        self._gen[e] += 1  # invalidates every queued entry for e
-        heapq.heappush(self._heap, self._entry(e))
+        gen = self._gen[e] = self._gen[e] + 1  # invalidates every queued entry for e
+        r = self._find(e)
+        num_o = self._sign * (self._sum[r] - self._w[e])
+        key, tie = _heap_key(num_o, self._cnt[r] - 1, self._scale)
+        heapq.heappush(self._heap, (key, tie, e, gen))
 
     def _pop_live_best(self):
         heap = self._heap
@@ -284,16 +308,13 @@ class ContractionState:
                 return entry
         return None
 
-    def _beats_root_average(self, num: int, den: int) -> bool:
+    def _beats_root_average(self, key: float, tie: _ExactRatio | None) -> bool:
+        """True when the oriented value of a heap key is strictly below the
+        oriented root average; of the infinities only ``-inf`` is."""
+        if tie is None:
+            return key < 0
         rr = self._find(self.tree.root)
-        asum, acnt = self._sum[rr], self._cnt[rr]
-        if self._maximize:
-            if den == 0:
-                return num > 0
-            return num * acnt > asum * den
-        if den == 0:
-            return num < 0
-        return num * acnt < asum * den
+        return tie.num * self._cnt[rr] < self._sign * self._sum[rr] * tie.den
 
     # --- queries ---------------------------------------------------------- #
 
@@ -423,8 +444,8 @@ class ContractionState:
             entry = self._pop_live_best()
             if entry is None:
                 return
-            _, _, edge, _, num, den = entry
-            if not self._beats_root_average(num, den):
+            key, tie, edge, _ = entry
+            if not self._beats_root_average(key, tie):
                 heapq.heappush(self._heap, entry)  # keep the queue complete
                 return
             self.contract(edge)

@@ -88,5 +88,39 @@ def random_tree(rng: random.Random, min_nodes: int = 4, max_nodes: int = 25) -> 
     return quiet_tree(edges)
 
 
+def _primes_from(low: int, count: int) -> list[int]:
+    """The first ``count`` primes at or above ``low``, by trial division."""
+    primes = []
+    q = max(low, 2)
+    while len(primes) < count:
+        if all(q % d for d in range(2, int(q**0.5) + 1)):
+            primes.append(q)
+        q += 1
+    return primes
+
+
+def prime_denominator_tree(
+    rng: random.Random, n_nodes: int = 160, min_prime: int = 1 << 20
+) -> RootedTree:
+    """A random tree whose edge weights p/q have pairwise distinct primes q.
+
+    The weights' least common denominator, the engine's shared scale, is then
+    the product of all the primes: about 21 bits per edge by default, so
+    thousands of bits in all. A per-tree chain bias gives out-degree-1 runs
+    as in ``random_tree``.
+    """
+    chain_bias = rng.random() * 0.6
+    primes = _primes_from(min_prime, n_nodes - 1)
+    rng.shuffle(primes)
+    edges = []
+    for i in range(1, n_nodes):
+        parent = i - 1 if rng.random() < chain_bias else rng.randrange(i)
+        q = primes[i - 1]
+        weight = Fraction(rng.randrange(1, 8 * q), q)
+        edges.append((f"n{parent}", f"n{i}", weight))
+    rng.shuffle(edges)
+    return quiet_tree(edges)
+
+
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
     return frozenset(t.edge_by_child(lb) for lb in labels)

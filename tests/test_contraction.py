@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from avgcut import (
     POSITIVE_INFINITY,
     Contractibility,
     ContractionState,
+    ContractionStep,
     Objective,
     edge_contractibility,
     evaluate_cut,
@@ -19,7 +21,9 @@ from .helpers import (
     edge_set_by_children,
     figure_max_cut_children,
     path_tree,
+    prime_denominator_tree,
     quiet_tree,
+    random_tree,
     star_tree,
 )
 
@@ -54,6 +58,16 @@ class TestContractibilityType:
         assert str(POSITIVE_INFINITY) == "+inf"
         assert str(NEGATIVE_INFINITY) == "-inf"
         assert str(Contractibility.finite(Fraction(7, 2))) == "7/2"
+
+    def test_hash_agrees_with_equality(self):
+        for value in (2, -3, 0, Fraction(7, 2), Fraction(-1, 3), Fraction(4, 2)):
+            lam = Contractibility.finite(value)
+            assert lam == value
+            assert hash(lam) == hash(value)
+            assert value in {lam}
+            assert lam in {value}
+        assert len({Contractibility.finite(Fraction(4, 2)), 2, Fraction(2)}) == 1
+        assert len({POSITIVE_INFINITY, NEGATIVE_INFINITY, POSITIVE_INFINITY}) == 2
 
 
 class TestEdgeContractibility:
@@ -271,3 +285,90 @@ class TestScaling:
             other_labels = {scaled.labels[e] for e in other.cut}
             assert base_labels == other_labels
             assert other.average == base.average * c
+
+
+def _reference_run(t, objective):
+    """Contraction order and steps from ``Fraction`` arithmetic alone.
+
+    Each step scans every live internal edge, takes the best oriented
+    contractibility (ties to the smallest original edge id), and stops when
+    that edge does not strictly beat the root average. Supernodes are
+    relabelled by hand, with no heap and no scaled integers.
+    """
+    maximize = objective is Objective.MAXIMIZE
+    rep = list(range(t.node_count))
+    out_sum = [sum((t.weights[c] for c in kids), start=Fraction(0)) for kids in t.children]
+    out_cnt = [len(kids) for kids in t.children]
+    live = [e for e in t.edges() if t.children[e]]
+    contractions, steps = [], []
+
+    def rank(e):
+        # ((class, value), contractibility): class -1 < 0 < 1 puts the
+        # infinities around the finite values, oriented so that the smallest
+        # rank is the best edge.
+        h = rep[e]
+        gap = out_sum[h] - t.weights[e]
+        if out_cnt[h] >= 2:
+            lam = gap / (out_cnt[h] - 1)
+            return (0, -lam if maximize else lam), Contractibility.finite(lam)
+        if gap > 0 or (gap == 0 and not maximize):
+            return (-1 if maximize else 1, 0), POSITIVE_INFINITY
+        return (1 if maximize else -1, 0), NEGATIVE_INFINITY
+
+    while live:
+        best = min(live, key=lambda e: (rank(e)[0], e))
+        lam = rank(best)[1]
+        r = rep[t.root]
+        alpha = out_sum[r] / out_cnt[r]
+        if not (lam > alpha if maximize else lam < alpha):
+            break
+        head, tail = rep[best], rep[t.parent[best]]
+        out_sum[tail] += out_sum[head] - t.weights[best]
+        out_cnt[tail] += out_cnt[head] - 1
+        rep = [tail if x == head else x for x in rep]
+        live.remove(best)
+        contractions.append(best)
+        r = rep[t.root]
+        steps.append(ContractionStep(best, lam, out_sum[r] / out_cnt[r], tail == r))
+    return contractions, steps
+
+
+def _with_huge_weights(rng, t):
+    """``t`` with some weights replaced by values past the float range or
+    below its smallest subnormal, plus one more leaf edge of weight 1e400."""
+    huge = (Fraction(10**400), Fraction(10**400 + 1), Fraction(3 * 10**400, 7), Fraction(1, 10**400))
+    rows = []
+    for e in t.edges():
+        w = rng.choice(huge) if rng.random() < 0.3 else t.weights[e]
+        rows.append((t.labels[t.tail(e)], t.labels[e], w))
+    rows.append((t.labels[t.root], "big", Fraction(10**400)))
+    return quiet_tree(rows)
+
+
+class TestAgainstFractionReference:
+    """Contraction order and steps equal a ``Fraction``-only reference."""
+
+    @staticmethod
+    def _check(t):
+        for objective in Objective:
+            state = run_contraction(t, objective)
+            contractions, steps = _reference_run(t, objective)
+            assert state.contractions == contractions
+            assert state.steps() == steps
+
+    def test_random_trees(self):
+        rng = random.Random(1)
+        for _ in range(150):
+            self._check(random_tree(rng))
+
+    def test_distinct_prime_denominators(self):
+        rng = random.Random(2)
+        for _ in range(3):
+            t = prime_denominator_tree(rng)
+            assert t.scaled_weights[0].bit_length() > 3000
+            self._check(t)
+
+    def test_weights_past_the_float_range(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            self._check(_with_huge_weights(rng, random_tree(rng)))

@@ -1,5 +1,7 @@
 """Property-based checks of the structural invariants the engine relies on."""
 
+import heapq
+import sys
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,7 +26,7 @@ from avgcut import (
     optimal_average_cut,
     run_contraction,
 )
-from avgcut.contraction import _ExactRatio, _approx
+from avgcut.contraction import _heap_key
 from avgcut.errors import NotApplicableError
 
 from .helpers import quiet_tree
@@ -212,7 +214,74 @@ class TestBuildDeterminism:
         assert format_edgelist(quiet_tree(rows)) == format_edgelist(t)
 
 
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+@st.composite
+def oriented_values(draw):
+    """``(scale, [(num_o, den_o), ...])`` for heap keys: shared scales of up
+    to thousands of bits; values past the float range, below the smallest
+    subnormal, and at the clamp boundary; equal values written with
+    different ``(num, den)``; pairs that round to the same float, such as
+    a/b against (a*2**60+1)/(b*2**60); and the three infinities."""
+    scale = draw(st.one_of(
+        st.just(1),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=2**1100, max_value=2**4000),
+    ))
+    dens = st.integers(min_value=1, max_value=50)
+    sign = st.sampled_from((-1, 1))
+
+    @st.composite
+    def finite(draw):
+        den = draw(dens)
+        band = draw(st.sampled_from(("small", "moderate", "huge", "boundary")))
+        if band == "small":  # below the smallest subnormal once scale > 2**1100
+            num = draw(st.integers(min_value=-1000, max_value=1000))
+        elif band == "moderate":
+            num = draw(st.integers(min_value=-(10**6), max_value=10**6)) * scale
+            num += draw(st.integers(min_value=-3, max_value=3))
+        elif band == "huge":  # up to ~2**1100, past 1.8e308
+            num = draw(sign) * draw(st.integers(min_value=1, max_value=2**1100)) * scale
+        else:  # straddles the largest finite float
+            num = draw(sign) * (_FLOAT_MAX_INT * den * scale + draw(st.integers(-3, 3)))
+        return num, den
+
+    base = draw(st.lists(
+        st.one_of(finite(), st.tuples(st.sampled_from((-1, 0, 1)), st.just(0))),
+        min_size=1, max_size=8,
+    ))
+    items = list(base)
+    for num, den in base:
+        if den and draw(st.booleans()):
+            k = draw(st.integers(min_value=2, max_value=5))
+            items.append((num * k, den * k))  # the same value
+        if den and draw(st.booleans()):
+            items.append((num * 2**60 + draw(sign), den * 2**60))  # a float-level near tie
+    return scale, draw(st.permutations(items))
+
+
+def _reference_rank(num_o, den_o, scale):
+    """The exact order the heap must follow: -inf < finite values < +inf."""
+    if den_o == 0:
+        return (-1, Fraction(0)) if num_o < 0 else (1, Fraction(0))
+    return (0, Fraction(num_o, den_o * scale))
+
+
 class TestOrderingInternals:
+    @PROPERTY_SETTINGS
+    @given(oriented_values())
+    def test_heap_entries_order_by_exact_value_then_edge_id(self, case):
+        scale, items = case
+        entries = [(*_heap_key(num, den, scale), e, 0) for e, (num, den) in enumerate(items)]
+        expected = sorted(range(len(items)), key=lambda e: (_reference_rank(*items[e], scale), e))
+        assert [entry[2] for entry in sorted(entries)] == expected
+        heapq.heapify(entries)
+        assert [heapq.heappop(entries)[2] for _ in items] == expected
+        for num, den in items:
+            key = _heap_key(num, den, scale)[0]
+            assert (key in (float("inf"), float("-inf"))) == (den == 0)
+
     @PROPERTY_SETTINGS
     @given(
         st.integers(min_value=-(10**30), max_value=10**30),
@@ -221,8 +290,8 @@ class TestOrderingInternals:
         st.integers(min_value=1, max_value=10**20),
     )
     def test_composite_heap_key_orders_exactly(self, n1, d1, n2, d2):
-        key_a = (_approx(n1, d1), _ExactRatio(n1, d1))
-        key_b = (_approx(n2, d2), _ExactRatio(n2, d2))
+        key_a = _heap_key(n1, d1, 1)
+        key_b = _heap_key(n2, d2, 1)
         assert (key_a < key_b) == (Fraction(n1, d1) < Fraction(n2, d2))
         assert (key_a == key_b) == (Fraction(n1, d1) == Fraction(n2, d2))
 
@@ -230,9 +299,9 @@ class TestOrderingInternals:
     @given(st.integers(min_value=-(10**30), max_value=10**30),
            st.integers(min_value=1, max_value=10**20))
     def test_infinity_keys_bracket_everything(self, num, den):
-        plus = (_approx(1, 0), _ExactRatio(1, 0))
-        minus = (_approx(-1, 0), _ExactRatio(-1, 0))
-        finite = (_approx(num, den), _ExactRatio(num, den))
+        plus = _heap_key(1, 0, 1)
+        minus = _heap_key(-1, 0, 1)
+        finite = _heap_key(num, den, 1)
         assert minus < finite < plus
 
     @PROPERTY_SETTINGS
