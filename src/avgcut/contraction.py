@@ -7,14 +7,16 @@ stopping as soon as no live edge strictly beats it. An edge's
 contractibility is the average weight its head's out-edges would add to a
 cut that swapped the edge for them: (out_sum - weight) / (out_degree - 1).
 
-Every comparison is exact. Weights are scaled once by their least common
-denominator so the hot path runs on plain integers. The priority queue keys
-each candidate by the correctly rounded float of its true, unscaled value,
-and only two equal floats fall through to an exact cross-multiplied ratio;
-rounding is monotone, so the composite key orders exactly while almost every
-comparison stays on machine floats, even when the scaled integers run to
-tens of thousands of bits. Infinite contractibilities key as float
-infinities and carry no ratio at all.
+Every comparison is exact. Each supernode keeps the total weight of its
+live out-edges as a fraction of two ints: the lcm of the denominators
+merged into it, less the factors a contracted edge's denominator shares
+with the numerator. An aggregate grows only with the weights it holds,
+never with one scale shared by the whole tree; on integer weights every
+denominator is 1 and the arithmetic is plain int addition. The priority queue keys each candidate by the correctly
+rounded float of its exact value, and only two equal floats fall through to
+an exact cross-multiplied ratio; rounding is monotone, so the composite key
+orders exactly while almost every comparison stays on machine floats.
+Infinite contractibilities key as float infinities and carry no ratio at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
@@ -187,9 +192,9 @@ class _ExactRatio:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _heap_key(num_o: int, den_o: int, scale: int) -> tuple[float, _ExactRatio | None]:
+def _heap_key(num_o: int, den_o: int) -> tuple[float, _ExactRatio | None]:
     """Heap key ``(float, tiebreak)`` of the oriented contractibility
-    ``num_o / (den_o * scale)``; ``den_o == 0`` is an infinity (``-inf`` when
+    ``num_o / den_o``; ``den_o == 0`` is an infinity (``-inf`` when
     ``num_o < 0``, else ``+inf``) and carries no tiebreak.
 
     The float is the correctly rounded true value, so it is monotone in the
@@ -200,26 +205,10 @@ def _heap_key(num_o: int, den_o: int, scale: int) -> tuple[float, _ExactRatio | 
     if not den_o:
         return (-math.inf if num_o < 0 else math.inf), None
     try:
-        key = num_o / (den_o * scale)
+        key = num_o / den_o
     except OverflowError:
         key = -_FLOAT_MAX if num_o < 0 else _FLOAT_MAX
     return key, _ExactRatio(num_o, den_o)
-
-
-def _pair(weight: int, out_sum: int, out_count: int, maximize: bool) -> tuple[int, int]:
-    """Contractibility of an edge as a (num, den) pair of scaled integers.
-
-    (out_sum, out_count) aggregate the head supernode's live out-edges;
-    out_count must be >= 1. den == 0 encodes the infinities.
-    """
-    num = out_sum - weight
-    if out_count >= 2:
-        return num, out_count - 1
-    if num > 0:
-        return 1, 0
-    if num < 0:
-        return -1, 0
-    return (-1, 0) if maximize else (1, 0)
 
 
 class ContractionState:
@@ -241,14 +230,31 @@ class ContractionState:
         n = tree.node_count
         root = tree.root
 
-        self._scale, self._w = tree.scaled_weights  # root slot unused
+        # Every weight as numerator and denominator columns; root slot 0/1.
+        weights = tree.weights
+        self._wn = wn = [w.numerator for w in weights]
+        self._wd = wd = [w.denominator for w in weights]
 
         self._uf = list(range(n))
         self._uf_size = [1] * n
-        # Per-representative aggregates over live out-edges, and the topmost
-        # original node of each supernode (whose in-edge is the supernode's).
-        w_at = self._w.__getitem__
-        self._sum = [sum(map(w_at, kids)) for kids in tree.children]
+        # Per-representative aggregates over live out-edges: their total as
+        # _num / _den, and their count. _den is always a positive multiple of
+        # the denominator of the supernode's own in-edge weight, so _lam()
+        # needs no lcm and a merge needs one. It starts as the lcm of a node's
+        # in- and out-edge denominators. _top is the topmost original node of
+        # each supernode (whose in-edge is the supernode's).
+        parent = list(tree.parent)
+        parent[root] = root  # any valid index: the root's weight slot is 0
+        dens = [1] * n
+        for v in compress(range(n), map((1).__ne__, wd)):
+            d, p = wd[v], parent[v]
+            dens[p] = lcm(dens[p], d)
+            dens[v] = lcm(dens[v], d)
+        # Each weight as a numerator over its tail's _den, summed per tail.
+        tail_dens = map(dens.__getitem__, parent)
+        scaled_at = list(map(mul, wn, map(floordiv, tail_dens, wd))).__getitem__
+        self._num = [sum(map(scaled_at, kids)) for kids in tree.children]
+        self._den = dens
         self._cnt = [len(kids) for kids in tree.children]
         self._top = list(range(n))
 
@@ -257,22 +263,25 @@ class ContractionState:
 
         self._gen = [0] * n
         # Heap entries are (float key, tiebreak, edge, generation). Before
-        # any contraction every node is its own representative.
+        # any contraction every node is its own representative, so the pair
+        # is _lam(e, e), inlined to save a method call per edge.
         sign = self._sign
-        scale = self._scale
-        w, sums, cnts = self._w, self._sum, self._cnt
+        nums, cnts = self._num, self._cnt
         heap = []
         append = heap.append
         for e in tree.internal_edges():
-            key, tie = _heap_key(sign * (sums[e] - w[e]), cnts[e] - 1, scale)
+            d, q = dens[e], wd[e]
+            gap = nums[e] - (wn[e] if q == d else wn[e] * (d // q))
+            key, tie = _heap_key(sign * gap, d * (cnts[e] - 1))
             append((key, tie, e, 0))
         heapq.heapify(heap)
         self._heap = heap
 
         self.contractions: list[EdgeId] = []
-        # Raw step log: (edge, lam_num, lam_den, alpha_num, alpha_den, merged_root).
-        self._steps: list[tuple[int, int, int, int, int, bool]] = []
-        self._initial_alpha = (self._sum[root], self._cnt[root])
+        # Raw step log: (edge, lam_num, lam_den, root_num, root_den,
+        # root_cnt, merged_root); lam_den == 0 encodes the infinities.
+        self._steps: list[tuple[int, int, int, int, int, int, bool]] = []
+        self._initial_alpha = (self._num[root], dens[root], self._cnt[root])
 
     # --- union-find ---------------------------------------------------- #
 
@@ -290,13 +299,35 @@ class ContractionState:
         self._uf_size[a] += self._uf_size[b]
         return a
 
+    # --- exact aggregates ------------------------------------------------ #
+
+    def _lam(self, e: EdgeId, r: NodeId) -> tuple[int, int]:
+        """Contractibility of ``e``, whose head supernode ``r`` represents, as
+        an unreduced pair ``(num, den)``. ``num / _den[r]`` is
+        ``out_sum(r) - weight(e)``, exact because the weight's denominator
+        divides ``_den[r]``, and ``den`` is ``_den[r] * (live_out_count(r) - 1)``,
+        so ``den == 0`` encodes the infinities."""
+        d = self._den[r]
+        wd = self._wd[e]
+        wn = self._wn[e] if wd == d else self._wn[e] * (d // wd)
+        return self._num[r] - wn, d * (self._cnt[r] - 1)
+
+    def _to_contractibility(self, num: int, den: int) -> Contractibility:
+        """The contractibility ``num / den``; ``den == 0`` is an infinity on
+        the side of ``num``'s sign, and a zero ``num`` then takes the
+        never-contract side of the objective."""
+        if den:
+            return Contractibility.finite(Fraction(num, den))
+        if num > 0 or (num == 0 and not self._maximize):
+            return POSITIVE_INFINITY
+        return NEGATIVE_INFINITY
+
     # --- priority queue -------------------------------------------------- #
 
     def _push(self, e: EdgeId) -> None:
         gen = self._gen[e] = self._gen[e] + 1  # invalidates every queued entry for e
-        r = self._find(e)
-        num_o = self._sign * (self._sum[r] - self._w[e])
-        key, tie = _heap_key(num_o, self._cnt[r] - 1, self._scale)
+        num, den = self._lam(e, self._find(e))
+        key, tie = _heap_key(self._sign * num, den)
         heapq.heappush(self._heap, (key, tie, e, gen))
 
     def _pop_live_best(self):
@@ -314,7 +345,7 @@ class ContractionState:
         if tie is None:
             return key < 0
         rr = self._find(self.tree.root)
-        return tie.num * self._cnt[rr] < self._sign * self._sum[rr] * tie.den
+        return tie.num * (self._den[rr] * self._cnt[rr]) < self._sign * self._num[rr] * tie.den
 
     # --- queries ---------------------------------------------------------- #
 
@@ -332,7 +363,8 @@ class ContractionState:
 
     def live_out_sum(self, v: NodeId) -> Fraction:
         """Total weight of live out-edges of ``v``'s supernode."""
-        return Fraction(self._sum[self._find(v)], self._scale)
+        r = self._find(v)
+        return Fraction(self._num[r], self._den[r])
 
     def live_out_count(self, v: NodeId) -> int:
         """Number of live out-edges of ``v``'s supernode."""
@@ -341,12 +373,12 @@ class ContractionState:
     @property
     def root_average(self) -> Fraction:
         rr = self._find(self.tree.root)
-        return Fraction(self._sum[rr], self._cnt[rr] * self._scale)
+        return Fraction(self._num[rr], self._den[rr] * self._cnt[rr])
 
     @property
     def initial_root_average(self) -> Fraction:
-        num, den = self._initial_alpha
-        return Fraction(num, den * self._scale)
+        num, den, cnt = self._initial_alpha
+        return Fraction(num, den * cnt)
 
     def contractibility(self, e: EdgeId) -> Contractibility:
         """Contractibility of live edge ``e`` under the current partition."""
@@ -356,13 +388,7 @@ class ContractionState:
         r = self._find(e)
         if self._cnt[r] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-        num, den = _pair(self._w[e], self._sum[r], self._cnt[r], self._maximize)
-        return self._to_contractibility(num, den)
-
-    def _to_contractibility(self, num: int, den: int) -> Contractibility:
-        if den == 0:
-            return POSITIVE_INFINITY if num > 0 else NEGATIVE_INFINITY
-        return Contractibility.finite(Fraction(num, den * self._scale))
+        return self._to_contractibility(*self._lam(e, r))
 
     def pending_edges(self) -> set[EdgeId]:
         """Edges with a fresh queue entry (live internal edges, exactly)."""
@@ -381,24 +407,20 @@ class ContractionState:
         return frozenset(e for e in t.edges() if alive[e] and find(t.parent[e]) == rr)
 
     def steps(self) -> list[ContractionStep]:
-        scale = self._scale
-        out = []
-        for edge, num, den, asum, acnt, merged in self._steps:
-            out.append(
-                ContractionStep(
-                    edge,
-                    self._to_contractibility(num, den),
-                    Fraction(asum, acnt * scale),
-                    merged,
-                )
+        return [
+            ContractionStep(
+                edge,
+                self._to_contractibility(lam_num, lam_den),
+                Fraction(root_num, root_den * root_cnt),
+                merged,
             )
-        return out
+            for edge, lam_num, lam_den, root_num, root_den, root_cnt, merged in self._steps
+        ]
 
     def root_average_history(self) -> list[Fraction]:
         """Root average before any contraction and after each one."""
-        scale = self._scale
         history = [self.initial_root_average]
-        history.extend(Fraction(s[3], s[4] * scale) for s in self._steps)
+        history.extend(Fraction(s[3], s[4] * s[5]) for s in self._steps)
         return history
 
     # --- mutation ----------------------------------------------------------- #
@@ -415,19 +437,44 @@ class ContractionState:
             raise DeadEdgeError(f"edge {e} was already contracted")
         if not self.tree.children[e]:
             raise LeafHeadError(f"edge {e} ends in a leaf and cannot be contracted")
+        self._merge(e)
 
+    def _merge(self, e: EdgeId) -> None:
+        """:meth:`contract` for an edge known to be live and internal."""
         tree = self.tree
         ru = self._find(tree.parent[e])  # type: ignore[arg-type]
         rv = self._find(e)
-        lam_num, lam_den = _pair(self._w[e], self._sum[rv], self._cnt[rv], self._maximize)
+        lam_num, lam_den = self._lam(e, rv)
 
-        new_sum = self._sum[ru] + self._sum[rv] - self._w[e]
-        new_cnt = self._cnt[ru] + self._cnt[rv] - 1
+        # The merged total is out_sum(ru) - weight(e) + out_sum(rv), which is
+        # out_sum(ru) + lam_num / _den[rv], over lcm(_den[ru], _den[rv]).
+        num, den = self._num[ru], self._den[ru]
+        den_v = self._den[rv]
+        if den == den_v:
+            num += lam_num
+        else:
+            g = gcd(den, den_v)
+            num = num * (den_v // g) + lam_num * (den // g)
+            den = den // g * den_v
+        cnt = self._cnt[ru] + self._cnt[rv] - 1
         top = self._top[ru]
+        q = self._wd[e]
+        if q != 1:
+            # weight(e) left the total: cancel what its denominator shares
+            # with the numerator, but keep the in-edge's denominator (top's)
+            # dividing _den. Without this a supernode that absorbs a chain of
+            # distinct prime denominators keeps all of them, long after their
+            # weights have left its total.
+            g = gcd(num, q)
+            if g != 1:
+                g = gcd(g, den // self._wd[top])
+                num //= g
+                den //= g
         self._alive[e] = 0
         rm = self._union(ru, rv)
-        self._sum[rm] = new_sum
-        self._cnt[rm] = new_cnt
+        self._num[rm] = num
+        self._den[rm] = den
+        self._cnt[rm] = cnt
         self._top[rm] = top
 
         merged_root = top == tree.root
@@ -436,7 +483,9 @@ class ContractionState:
             self._push(top)
         self.contractions.append(e)
         rr = self._find(tree.root)
-        self._steps.append((e, lam_num, lam_den, self._sum[rr], self._cnt[rr], merged_root))
+        self._steps.append(
+            (e, lam_num, lam_den, self._num[rr], self._den[rr], self._cnt[rr], merged_root)
+        )
 
     def run(self) -> None:
         """Contract best-first until no live edge strictly beats the root average."""
@@ -448,17 +497,17 @@ class ContractionState:
             if not self._beats_root_average(key, tie):
                 heapq.heappush(self._heap, entry)  # keep the queue complete
                 return
-            self.contract(edge)
+            self._merge(edge)  # queued edges are live and internal
 
     def result(self) -> CutResult:
         rr = self._find(self.tree.root)
-        total_num = self._sum[rr]
+        total_num, total_den = self._num[rr], self._den[rr]
         size = self._cnt[rr]
         return CutResult(
             cut=self.cut_edges(),
-            total=Fraction(total_num, self._scale),
+            total=Fraction(total_num, total_den),
             size=size,
-            average=Fraction(total_num, size * self._scale),
+            average=Fraction(total_num, total_den * size),
             contractions=tuple(self.contractions),
         )
 

@@ -56,7 +56,10 @@ class RootedTree:
         """``(scale, ints)``: the least common denominator of all weights and
         every weight times it, so ``weights[v] == Fraction(ints[v], scale)``.
 
-        Computed on first use and kept; the exact engines run on these ints.
+        Computed on first use and kept. Only the brute-force oracle
+        (``oracle._Prep``) uses it; the contraction engine keeps per-supernode
+        fractions instead, because with distinct prime denominators this
+        scale grows linearly in the number of edges.
         """
         weights = self.weights
         dens = {w.denominator for w in weights}

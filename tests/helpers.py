@@ -122,5 +122,46 @@ def prime_denominator_tree(
     return quiet_tree(edges)
 
 
+def prime_denominator_perf_tree(n_edges: int, seed: int) -> RootedTree:
+    """The acceptance ``_perf_tree`` shape (parent ``i - 1`` with probability
+    0.25, otherwise a uniform earlier node) with weights ``p/q`` between 0
+    and 1000 whose primes ``q`` are pairwise distinct: the first ``n_edges``
+    primes, shuffled.
+
+    The weights' least common denominator is the product of all the primes,
+    so its size grows linearly in ``n_edges``: over 150,000 bits at 1e4 edges.
+    """
+    rng = random.Random(seed)
+    primes = _primes_from(2, n_edges)
+    rng.shuffle(primes)
+    rows = []
+    for i in range(1, n_edges + 1):
+        parent = rng.randrange(i) if rng.random() > 0.25 else i - 1
+        q = primes[i - 1]
+        # A numerator that q does not divide keeps q as the denominator.
+        weight = Fraction(q * rng.randrange(1000) + rng.randrange(1, q), q)
+        rows.append((f"n{parent}", f"n{i}", weight))
+    return quiet_tree(rows)
+
+
+def prime_denominator_path(n_edges: int) -> RootedTree:
+    """A path whose ``i``-th edge from the root, counting from 1, weighs
+    ``i + 1/q`` with a fresh prime ``q`` when ``i`` is odd, and ``i`` when
+    ``i`` is even.
+
+    Weights grow with depth, so under MAXIMIZE every edge's contractibility
+    is +inf and, ties going to the smaller id, every contraction merges into
+    the root supernode, whose total stays one weight. Each contraction of an
+    odd edge retires the last weight over its prime without bringing in a
+    new denominator.
+    """
+    primes = _primes_from(2, (n_edges + 1) // 2)
+    rows = []
+    for i in range(1, n_edges + 1):
+        q = primes[i // 2] if i % 2 else 1
+        rows.append((f"v{i - 1}", f"v{i}", Fraction(i * q + 1 if i % 2 else i, q)))
+    return quiet_tree(rows)
+
+
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
     return frozenset(t.edge_by_child(lb) for lb in labels)

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from avgcut import (
     Objective,
     edge_contractibility,
     evaluate_cut,
+    is_valid_cut,
     optimal_average_cut,
     run_contraction,
 )
@@ -21,6 +24,8 @@ from .helpers import (
     edge_set_by_children,
     figure_max_cut_children,
     path_tree,
+    prime_denominator_path,
+    prime_denominator_perf_tree,
     prime_denominator_tree,
     quiet_tree,
     random_tree,
@@ -245,6 +250,37 @@ class TestTrace:
         assert state.pending_edges() == expected
 
 
+class TestDistinctPrimeDenominatorsAtScale:
+    def test_1e4_edges_within_the_criterion_6_budget(self):
+        # The weights' lcm grows linearly in n here; the engine must not.
+        t = prime_denominator_perf_tree(10**4, seed=42)
+        assert math.lcm(*(w.denominator for w in t.weights)).bit_length() > 150_000
+        optimal_average_cut(prime_denominator_perf_tree(500, seed=1))  # warm-up
+        for objective in Objective:
+            started = time.perf_counter()
+            result = optimal_average_cut(t, objective)
+            elapsed = time.perf_counter() - started
+            assert elapsed < 0.5, f"{objective.value}: {elapsed * 1000:.0f} ms for 1e4 edges"
+            assert is_valid_cut(t, result.cut)
+            assert evaluate_cut(t, result.cut) == (result.total, result.size, result.average)
+
+    def test_2e4_edge_path_absorbed_by_the_root(self):
+        # The root supernode takes in 10,000 distinct prime denominators in
+        # turn while its total stays a single weight; its integers must not
+        # grow with the denominators it has let go.
+        t = prime_denominator_path(2 * 10**4)
+        last = max(t.edges(), key=t.weights.__getitem__)
+        started = time.perf_counter()
+        state = run_contraction(t, Objective.MAXIMIZE)
+        result = state.result()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"{elapsed * 1000:.0f} ms for a 2e4-edge path"
+        assert result.cut == {last}
+        assert result.average == t.weights[last]
+        assert len(result.contractions) == 2 * 10**4 - 1
+        assert all(step.merged_into_root for step in state.steps())
+
+
 class TestEvaluateCut:
     def test_figure_output_cut(self, figure_tree):
         cut = edge_set_by_children(figure_tree, figure_max_cut_children())
@@ -287,50 +323,90 @@ class TestScaling:
             assert other.average == base.average * c
 
 
+class _FractionModel:
+    """Supernode aggregates from ``Fraction`` arithmetic alone.
+
+    Supernodes are relabelled by hand (``rep``), with no heap, no union-find
+    and no integer pairs; ``out_sum`` and ``out_cnt`` are indexed by a
+    supernode's label, and ``live`` lists the live internal edges.
+    """
+
+    def __init__(self, t, objective):
+        self.t = t
+        self.maximize = objective is Objective.MAXIMIZE
+        self.rep = list(range(t.node_count))
+        self.out_sum = [
+            sum((t.weights[c] for c in kids), start=Fraction(0)) for kids in t.children
+        ]
+        self.out_cnt = [len(kids) for kids in t.children]
+        self.live = [e for e in t.edges() if t.children[e]]
+        self._ranks = {}  # edge -> rank, dropped when its head supernode changes
+
+    def rank(self, e):
+        """``((class, value), contractibility)``: class -1 < 0 < 1 puts the
+        infinities around the finite values, oriented so that the smallest
+        rank is the best edge."""
+        if e not in self._ranks:
+            h = self.rep[e]
+            gap = self.out_sum[h] - self.t.weights[e]
+            if self.out_cnt[h] >= 2:
+                lam = gap / (self.out_cnt[h] - 1)
+                rank = (0, -lam if self.maximize else lam), Contractibility.finite(lam)
+            elif gap > 0 or (gap == 0 and not self.maximize):
+                rank = (-1 if self.maximize else 1, 0), POSITIVE_INFINITY
+            else:
+                rank = (1 if self.maximize else -1, 0), NEGATIVE_INFINITY
+            self._ranks[e] = rank
+        return self._ranks[e]
+
+    def root_average(self):
+        r = self.rep[self.t.root]
+        return self.out_sum[r] / self.out_cnt[r]
+
+    def contract(self, e):
+        """Merge head(e) into its tail; True when the tail holds the root."""
+        head, tail = self.rep[e], self.rep[self.t.parent[e]]
+        self.out_sum[tail] += self.out_sum[head] - self.t.weights[e]
+        self.out_cnt[tail] += self.out_cnt[head] - 1
+        self.rep = [tail if x == head else x for x in self.rep]
+        self.live.remove(e)
+        self._ranks = {f: rank for f, rank in self._ranks.items() if self.rep[f] != tail}
+        return tail == self.rep[self.t.root]
+
+
 def _reference_run(t, objective):
-    """Contraction order and steps from ``Fraction`` arithmetic alone.
+    """Contraction order and steps from ``_FractionModel`` alone.
 
     Each step scans every live internal edge, takes the best oriented
     contractibility (ties to the smallest original edge id), and stops when
-    that edge does not strictly beat the root average. Supernodes are
-    relabelled by hand, with no heap and no scaled integers.
+    that edge does not strictly beat the root average.
     """
-    maximize = objective is Objective.MAXIMIZE
-    rep = list(range(t.node_count))
-    out_sum = [sum((t.weights[c] for c in kids), start=Fraction(0)) for kids in t.children]
-    out_cnt = [len(kids) for kids in t.children]
-    live = [e for e in t.edges() if t.children[e]]
+    model = _FractionModel(t, objective)
     contractions, steps = [], []
-
-    def rank(e):
-        # ((class, value), contractibility): class -1 < 0 < 1 puts the
-        # infinities around the finite values, oriented so that the smallest
-        # rank is the best edge.
-        h = rep[e]
-        gap = out_sum[h] - t.weights[e]
-        if out_cnt[h] >= 2:
-            lam = gap / (out_cnt[h] - 1)
-            return (0, -lam if maximize else lam), Contractibility.finite(lam)
-        if gap > 0 or (gap == 0 and not maximize):
-            return (-1 if maximize else 1, 0), POSITIVE_INFINITY
-        return (1 if maximize else -1, 0), NEGATIVE_INFINITY
-
-    while live:
-        best = min(live, key=lambda e: (rank(e)[0], e))
-        lam = rank(best)[1]
-        r = rep[t.root]
-        alpha = out_sum[r] / out_cnt[r]
-        if not (lam > alpha if maximize else lam < alpha):
+    while model.live:
+        best = min(model.live, key=lambda e: (model.rank(e)[0], e))
+        lam = model.rank(best)[1]
+        alpha = model.root_average()
+        if not (lam > alpha if model.maximize else lam < alpha):
             break
-        head, tail = rep[best], rep[t.parent[best]]
-        out_sum[tail] += out_sum[head] - t.weights[best]
-        out_cnt[tail] += out_cnt[head] - 1
-        rep = [tail if x == head else x for x in rep]
-        live.remove(best)
+        merged_root = model.contract(best)
         contractions.append(best)
-        r = rep[t.root]
-        steps.append(ContractionStep(best, lam, out_sum[r] / out_cnt[r], tail == r))
+        steps.append(ContractionStep(best, lam, model.root_average(), merged_root))
     return contractions, steps
+
+
+def _mostly_integer_weights(rng, t):
+    """``t`` with integer weights, apart from about one in seven that is a
+    ``p/q`` with ``q`` from a mixed set, small to 31 bits."""
+    rows = []
+    for e in t.edges():
+        if rng.random() < 0.15:
+            q = rng.choice((2, 3, 7, 10, 12, 2**31 - 1))
+            w = Fraction(rng.randrange(1, 8 * q), q)
+        else:
+            w = Fraction(rng.randrange(8))
+        rows.append((t.labels[t.tail(e)], t.labels[e], w))
+    return quiet_tree(rows)
 
 
 def _with_huge_weights(rng, t):
@@ -372,3 +448,44 @@ class TestAgainstFractionReference:
         rng = random.Random(3)
         for _ in range(60):
             self._check(_with_huge_weights(rng, random_tree(rng)))
+
+    def test_mostly_integer_weights_with_a_few_fractions(self):
+        # Equal denominators (all 1) on most merges, an lcm on the others.
+        rng = random.Random(4)
+        for _ in range(100):
+            self._check(_mostly_integer_weights(rng, random_tree(rng)))
+        for _ in range(8):
+            self._check(_mostly_integer_weights(rng, random_tree(rng, 100, 250)))
+
+    def test_distinct_prime_denominators_at_1500_nodes(self):
+        t = prime_denominator_tree(random.Random(5), n_nodes=1500)
+        assert len({w.denominator for w in t.weights}) == 1500  # 1499 primes and the root's 1
+        self._check(t)
+
+    def test_queries_after_every_contract(self):
+        """Contract every internal edge, in random order, through the public
+        ``contract``; after each call every query equals the model's."""
+        rng = random.Random(6)
+        trees = [random_tree(rng) for _ in range(30)]
+        trees += [_mostly_integer_weights(rng, random_tree(rng)) for _ in range(30)]
+        trees += [_with_huge_weights(rng, random_tree(rng)) for _ in range(10)]
+        trees += [prime_denominator_tree(rng, n_nodes=40) for _ in range(10)]
+        for t in trees:
+            for objective in Objective:
+                state = ContractionState(t, objective)
+                model = _FractionModel(t, objective)
+                history = [model.root_average()]
+                assert state.initial_root_average == history[0]
+                while model.live:
+                    e = rng.choice(model.live)
+                    lam = model.rank(e)[1]
+                    state.contract(e)
+                    merged_root = model.contract(e)
+                    history.append(model.root_average())
+                    assert state.steps()[-1] == ContractionStep(e, lam, history[-1], merged_root)
+                    assert state.root_average == history[-1]
+                    assert state.root_average_history() == history
+                    for v in range(t.node_count):
+                        assert state.live_out_sum(v) == model.out_sum[model.rep[v]]
+                    for f in model.live:
+                        assert state.contractibility(f) == model.rank(f)[1]

@@ -273,13 +273,13 @@ class TestOrderingInternals:
     @given(oriented_values())
     def test_heap_entries_order_by_exact_value_then_edge_id(self, case):
         scale, items = case
-        entries = [(*_heap_key(num, den, scale), e, 0) for e, (num, den) in enumerate(items)]
+        entries = [(*_heap_key(num, den * scale), e, 0) for e, (num, den) in enumerate(items)]
         expected = sorted(range(len(items)), key=lambda e: (_reference_rank(*items[e], scale), e))
         assert [entry[2] for entry in sorted(entries)] == expected
         heapq.heapify(entries)
         assert [heapq.heappop(entries)[2] for _ in items] == expected
         for num, den in items:
-            key = _heap_key(num, den, scale)[0]
+            key = _heap_key(num, den * scale)[0]
             assert (key in (float("inf"), float("-inf"))) == (den == 0)
 
     @PROPERTY_SETTINGS
@@ -290,8 +290,8 @@ class TestOrderingInternals:
         st.integers(min_value=1, max_value=10**20),
     )
     def test_composite_heap_key_orders_exactly(self, n1, d1, n2, d2):
-        key_a = _heap_key(n1, d1, 1)
-        key_b = _heap_key(n2, d2, 1)
+        key_a = _heap_key(n1, d1)
+        key_b = _heap_key(n2, d2)
         assert (key_a < key_b) == (Fraction(n1, d1) < Fraction(n2, d2))
         assert (key_a == key_b) == (Fraction(n1, d1) == Fraction(n2, d2))
 
@@ -299,9 +299,9 @@ class TestOrderingInternals:
     @given(st.integers(min_value=-(10**30), max_value=10**30),
            st.integers(min_value=1, max_value=10**20))
     def test_infinity_keys_bracket_everything(self, num, den):
-        plus = _heap_key(1, 0, 1)
-        minus = _heap_key(-1, 0, 1)
-        finite = _heap_key(num, den, 1)
+        plus = _heap_key(1, 0)
+        minus = _heap_key(-1, 0)
+        finite = _heap_key(num, den)
         assert minus < finite < plus
 
     @PROPERTY_SETTINGS
