@@ -9,10 +9,12 @@ from avgcut import (
     parse_newick,
 )
 from avgcut.errors import (
+    AvgCutError,
     DuplicateParentError,
     MalformedWeightError,
     MissingBranchLengthError,
     NegativeWeightError,
+    NotATreeError,
     ParseError,
     UnbalancedParensError,
 )
@@ -57,6 +59,81 @@ class TestParseEdgelist:
     def test_comment_only_rejected(self):
         with pytest.raises(ParseError):
             parse_edgelist("# nothing here\n")
+
+    # (input, error kind, full message, ParseError.line). Per-line errors
+    # come in line order; structural ones only after the whole text is read.
+    HOSTILE = [
+        (
+            "r a 1\na x\n",
+            ParseError,
+            "line 2: expected 'parent child weight', got 2 fields",
+            2,
+        ),
+        (
+            "r a 1\n# a comment of three\na x 2 3\n",
+            ParseError,
+            "line 3: expected 'parent child weight', got 4 fields",
+            3,
+        ),
+        (
+            "r a 1\na x 2..5\n",
+            MalformedWeightError,
+            "line 2: not a decimal or p/q rational literal: '2..5'",
+            None,
+        ),
+        ("r a 1\na x -3/4\n", NegativeWeightError, "line 2: negative weight: '-3/4'", None),
+        (
+            "r a 1\nr b 2\nb a 3\n",
+            DuplicateParentError,
+            "line 3: child 'a' already has a parent (line 1)",
+            None,
+        ),
+        ("r a 1\nb b 2\n", NotATreeError, "self-loop at 'b'", None),
+        ("r a 1\nc c 1\nb b 2\n", NotATreeError, "self-loop at 'c'", None),
+        # A duplicate child on a later line beats an earlier self-loop ...
+        (
+            "r a 1\nb b 2\nr b 3\n",
+            DuplicateParentError,
+            "line 3: child 'b' already has a parent (line 2)",
+            None,
+        ),
+        # ... and so does a malformed weight.
+        (
+            "r a 1\nb b 2\na x 1e\n",
+            MalformedWeightError,
+            "line 3: not a decimal or p/q rational literal: '1e'",
+            None,
+        ),
+        ("r a 1\nb b 2\ns t 3\n", NotATreeError, "self-loop at 'b'", None),
+        (
+            "r a 1\ns b 2\n",
+            NotATreeError,
+            "not connected: multiple parentless labels ('r', 's')",
+            None,
+        ),
+        (
+            "r a 1\nx y 1\ny x 2\n",
+            NotATreeError,
+            "parent relation contains a cycle or unreachable nodes",
+            None,
+        ),
+        ("a b 1\nb a 2\n", NotATreeError, "no root: every label has a parent (cycle)", None),
+        ("# nothing\n\n  # still nothing\n", ParseError, "no edges found", None),
+        ("", ParseError, "no edges found", None),
+        ("# a b c\n#x y z\n", ParseError, "no edges found", None),
+    ]
+
+    @pytest.mark.parametrize("text, kind, message, line", HOSTILE)
+    def test_hostile_input_error_table(self, text, kind, message, line):
+        with pytest.raises(AvgCutError) as exc:
+            parse_edgelist(text)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+        assert getattr(exc.value, "line", None) == line
+
+    def test_three_field_comment_lines_are_skipped(self):
+        t = parse_edgelist("# c d 5\nr a 1\n  #x y z\n")
+        assert t.node_count == 2
 
 
 class TestFormatEdgelist:
