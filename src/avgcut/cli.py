@@ -16,7 +16,7 @@ from fractions import Fraction
 from .contraction import Objective, optimal_average_cut, run_contraction
 from .dendro import _label_key, communities_from_cut, linkage_to_tree, parse_linkage_csv
 from .errors import AvgCutError, TooManyCutsError
-from .io import parse_edgelist, parse_newick
+from .io import edge_rows, parse_edgelist, parse_newick
 from .oracle import DEFAULT_CUT_LIMIT, brute_force_optimum, count_cuts
 from .rational import decimal_approx, exact_str
 from .tree import RootedTree
@@ -73,17 +73,13 @@ def _read(path: str) -> tuple[str, str]:
     return data.decode("utf-8"), _digest(data)
 
 
+_FORMATS = ("edgelist", "newick")
+
+
 def _load_tree(path: str, fmt: str) -> tuple[RootedTree, str]:
     text, digest = _read(path)
     tree = parse_newick(text) if fmt == "newick" else parse_edgelist(text)
     return tree, digest
-
-
-def _cut_rows(tree: RootedTree, cut) -> tuple[tuple[str, str, str], ...]:
-    return tuple(
-        (tree.labels[tree.tail(e)], tree.labels[e], exact_str(tree.weights[e]))
-        for e in sorted(cut)
-    )
 
 
 def _cmd_cut(args) -> int:
@@ -104,7 +100,7 @@ def _cmd_cut(args) -> int:
         average=result.average,
         total=result.total,
         size=result.size,
-        cut=_cut_rows(tree, result.cut),
+        cut=edge_rows(tree, sorted(result.cut)),
         contraction_count=len(result.contractions),
         trace=trace,
         elapsed_s=elapsed,
@@ -114,7 +110,7 @@ def _cmd_cut(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    tree, digest = _load_tree(args.input, "edgelist")
+    tree, digest = _load_tree(args.input, args.format)
     started = time.perf_counter()
     result = brute_force_optimum(tree, Objective(args.objective), args.limit)
     elapsed = time.perf_counter() - started
@@ -124,7 +120,7 @@ def _cmd_oracle(args) -> int:
         average=result.average,
         total=result.total,
         size=result.size,
-        cut=_cut_rows(tree, result.cut),
+        cut=edge_rows(tree, sorted(result.cut)),
         cut_count=count_cuts(tree),
         elapsed_s=elapsed,
     )
@@ -133,7 +129,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    tree, digest = _load_tree(args.input, "edgelist")
+    tree, digest = _load_tree(args.input, args.format)
     started = time.perf_counter()
     total = count_cuts(tree)
     elapsed = time.perf_counter() - started
@@ -157,7 +153,7 @@ def _cmd_cluster(args) -> int:
         average=result.average,
         total=result.total,
         size=result.size,
-        cut=_cut_rows(tree, result.cut),
+        cut=edge_rows(tree, sorted(result.cut)),
         contraction_count=len(result.contractions),
         scheme=args.scheme,
         communities=tuple(
@@ -178,18 +174,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cut = sub.add_parser("cut", help="run the contraction algorithm")
     cut.add_argument("--objective", choices=("max", "min"), default="max")
-    cut.add_argument("--format", choices=("edgelist", "newick"), default="edgelist")
+    cut.add_argument("--format", choices=_FORMATS, default="edgelist")
     cut.add_argument("--input", required=True)
     cut.add_argument("--trace", action="store_true", help="log each contraction")
     cut.set_defaults(handler=_cmd_cut)
 
     oracle = sub.add_parser("oracle", help="brute-force optimum by full enumeration")
     oracle.add_argument("--objective", choices=("max", "min"), default="max")
+    oracle.add_argument("--format", choices=_FORMATS, default="edgelist")
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--limit", type=int, default=DEFAULT_CUT_LIMIT)
     oracle.set_defaults(handler=_cmd_oracle)
 
     count = sub.add_parser("count", help="count the root-separating cuts")
+    count.add_argument("--format", choices=_FORMATS, default="edgelist")
     count.add_argument("--input", required=True)
     count.set_defaults(handler=_cmd_count)
 

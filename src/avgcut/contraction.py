@@ -230,10 +230,8 @@ class ContractionState:
         n = tree.node_count
         root = tree.root
 
-        # Every weight as numerator and denominator columns; root slot 0/1.
-        weights = tree.weights
-        self._wn = wn = [w.numerator for w in weights]
-        self._wd = wd = [w.denominator for w in weights]
+        self._wn = wn = tree.wnum
+        self._wd = wd = tree.wden
 
         self._uf = list(range(n))
         self._uf_size = [1] * n
@@ -399,12 +397,18 @@ class ContractionState:
         }
 
     def cut_edges(self) -> frozenset[EdgeId]:
-        """Live out-edge boundary of the root supernode, as original edges."""
-        t = self.tree
-        alive = self._alive
-        find = self._find
-        rr = find(t.root)
-        return frozenset(e for e in t.edges() if alive[e] and find(t.parent[e]) == rr)
+        """Live out-edge boundary of the root supernode, as original edges.
+
+        The supernode is the root and everything below it through contracted
+        edges, so a walk down those edges meets each cut edge once.
+        """
+        children, alive = self.tree.children, self._alive
+        cut = []
+        stack = [self.tree.root]
+        while stack:
+            for c in children[stack.pop()]:
+                (cut if alive[c] else stack).append(c)
+        return frozenset(cut)
 
     def steps(self) -> list[ContractionStep]:
         return [

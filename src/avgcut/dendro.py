@@ -16,6 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .contraction import CutResult, Objective, optimal_average_cut
@@ -28,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .oracle import is_valid_cut
-from .rational import exact_str, parse_rational
+from .rational import echo, exact_str, parse_rational
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -137,42 +138,50 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     # makes the merges exactly one binary tree, rooted at cluster 2n - 2.
     parent: list[int | None] = [None] * node_count
     children: list[tuple[int, ...]] = [()] * node_count
-    weights = [_ZERO] * node_count
+    wnum = [0] * node_count
+    wden = [1] * node_count
     labels: list[str] = []
     cluster_node: list[int] = []  # node id of cluster n + k
-    cluster_height: list[Fraction] = []  # height of cluster n + k
+    cluster_num: list[int] = []  # height of cluster n + k, as
+    cluster_den: list[int] = []  # cluster_num / cluster_den in lowest terms
     for k, (left, right, height, _size) in enumerate(table.merges):
         if type(height) is not Fraction:
             height = Fraction(height)
+        hn, hd = height.numerator, height.denominator
         u = len(labels)
         labels.append(f"c{n + k}")
         pair = []
         for side in (left, right):
             if side < n:
-                gap = height
+                gn, gd = hn, hd
                 c = len(labels)
                 labels.append(str(side))
             else:
-                gap = height - cluster_height[side - n]
                 c = cluster_node[side - n]
-            if gap.numerator < 0:
+                cn, cd = cluster_num[side - n], cluster_den[side - n]
+                gn, gd = hn * cd - cn * hd, hd * cd
+                g = gcd(gn, gd)
+                gn, gd = gn // g, gd // g
+            if gn < 0:
                 raise NegativeGapError(
                     f"merge {k} at height {exact_str(table.merges[k].height)} is below "
                     f"cluster {side} at height {exact_str(table.cluster_height(side))}"
                 )
             parent[c] = u
-            weights[c] = gap if gap_weights else height
+            wnum[c], wden[c] = (gn, gd) if gap_weights else (hn, hd)
             pair.append(c)
         a, b = pair
         children[u] = (a, b) if a < b else (b, a)
         cluster_node.append(u)
-        cluster_height.append(height)
+        cluster_num.append(hn)
+        cluster_den.append(hd)
     return RootedTree(
         node_count=node_count,
         root=cluster_node[-1],
         parent=tuple(parent),
         children=tuple(children),
-        weights=tuple(weights),
+        wnum=tuple(wnum),
+        wden=tuple(wden),
         labels=tuple(labels),
         label_index=dict(zip(labels, range(node_count))),
     )
@@ -245,7 +254,7 @@ def parse_linkage_csv(text: str) -> LinkageTable:
         try:
             height = parse_rational(height_text)
         except MalformedWeightError:
-            raise ParseError(f"not a decimal height: {height_text!r}", line=lineno) from None
+            raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
         merges.append(Merge(left, right, height, size))
     return LinkageTable(n_items=len(merges) + 1, merges=tuple(merges))
 

@@ -16,41 +16,70 @@ from .errors import (
     MalformedWeightError,
     MissingBranchLengthError,
     NegativeWeightError,
+    NotATreeError,
     ParseError,
     UnbalancedParensError,
 )
-from .rational import exact_str, parse_weight
-from .tree import RootedTree, from_edges
+from .rational import parse_digits, parse_weight, ratio_str
+from .tree import RootedTree, _assemble, from_edges
 
 
 def parse_edgelist(text: str) -> RootedTree:
-    """Parse edge-list text; errors carry 1-based line numbers."""
-    triples = []
-    seen_children: dict[str, int] = {}
+    """Parse edge-list text; errors carry 1-based line numbers. Per-line
+    errors come in line order; structural ones only after the last line."""
+    ids: dict[str, int] = {}
+    parent: list[int | None] = []
+    wnum: list[int] = []
+    wden: list[int] = []
+    loop = None  # the child label of the first self-loop
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ParseError(
                 f"expected 'parent child weight', got {len(parts)} fields", line=lineno
             )
-        parent, child, weight_text = parts
+        parent_label, child, weight_text = parts
         try:
-            weight = parse_weight(weight_text)
+            if weight_text.isdigit() and weight_text.isascii():
+                num, den = parse_digits(weight_text), 1
+            else:
+                weight = parse_weight(weight_text)
+                num, den = weight.numerator, weight.denominator
         except (MalformedWeightError, NegativeWeightError) as err:
             raise type(err)(f"line {lineno}: {err}") from None
-        if child in seen_children:
-            raise DuplicateParentError(
-                f"line {lineno}: child {child!r} already has a parent "
-                f"(line {seen_children[child]})"
+        u = ids.get(parent_label)
+        if u is None:
+            u = ids[parent_label] = len(parent)
+            parent.append(None)
+            wnum.append(0)
+            wden.append(1)
+        c = ids.get(child)
+        if c is None:
+            ids[child] = len(parent)
+            parent.append(u)
+            wnum.append(num)
+            wden.append(den)
+            continue
+        if parent[c] is not None:
+            first = next(
+                i for i, row in enumerate(text.splitlines(), start=1)
+                if len(f := row.split()) == 3 and f[0][0] != "#" and f[1] == child
             )
-        seen_children[child] = lineno
-        triples.append((parent, child, weight))
-    if not triples:
+            raise DuplicateParentError(
+                f"line {lineno}: child {child!r} already has a parent (line {first})"
+            )
+        if c == u and loop is None:
+            loop = child
+        parent[c] = u
+        wnum[c] = num
+        wden[c] = den
+    if not ids:
         raise ParseError("no edges found")
-    return from_edges(triples)
+    if loop is not None:
+        raise NotATreeError(f"self-loop at {loop!r}")
+    return _assemble(ids, parent, wnum, wden)
 
 
 def format_edgelist(t: RootedTree) -> str:
@@ -59,10 +88,13 @@ def format_edgelist(t: RootedTree) -> str:
     The ordering depends only on labels, so any tree built from a permuted
     edge list serializes identically; re-parsing yields an isomorphic tree.
     """
-    rows = sorted(
-        (t.labels[t.tail(e)], t.labels[e], exact_str(t.weights[e])) for e in t.edges()
-    )
-    return "".join("\t".join(row) + "\n" for row in rows)
+    return "".join("\t".join(row) + "\n" for row in sorted(edge_rows(t, t.edges())))
+
+
+def edge_rows(t: RootedTree, edges) -> tuple[tuple[str, str, str], ...]:
+    """``(parent label, child label, exact weight text)`` of each edge."""
+    labels, wnum, wden = t.labels, t.wnum, t.wden
+    return tuple((labels[t.parent[e]], labels[e], ratio_str(wnum[e], wden[e])) for e in edges)
 
 
 _NEWICK_DELIMS = frozenset("(),:;")

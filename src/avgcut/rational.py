@@ -1,8 +1,9 @@
 """Exact rational arithmetic for weights, averages, and contractibilities.
 
-All numeric values in this package are ``fractions.Fraction`` instances:
-arbitrary precision, always in lowest terms with a positive denominator,
-and with exact comparisons. Weight text is parsed straight to a Fraction
+All numeric values in this package are exact: ``fractions.Fraction``
+instances or, in tree weight columns and engine aggregates, pairs of ints.
+Fractions have arbitrary precision, are always in lowest terms with a
+positive denominator, and compare exactly. Weight text is parsed straight to a Fraction
 (``"0.1"`` becomes 1/10), never through binary floating point, so the
 strict comparisons the cut algorithm depends on are never off by an ulp.
 """
@@ -23,22 +24,30 @@ Rational = Fraction
 # more digits.
 MAX_EXPONENT = 100_000
 
+# Error messages quote at most this many characters of an offending literal.
+ECHO_LIMIT = 64
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal of either sign.
 
     Accepts what ``Fraction(text)`` accepts (integer, decimal, ``p/q`` and
     exponent forms), except exponents beyond ``MAX_EXPONENT`` in magnitude.
-    Plain ASCII integers and ``digits.digits`` decimals, the common case,
-    skip Fraction's regular expression. Raises MalformedWeightError.
+    Plain ASCII integers, ``digits.digits`` decimals and ``digits/digits``
+    ratios, the common cases, skip Fraction's regular expression, and their
+    digit runs may be as long as ``MAX_EXPONENT`` digits (see
+    :func:`parse_digits`). Raises MalformedWeightError.
     """
     try:
         if text.isascii():
             if text.isdigit():
-                return Fraction(int(text))
+                return Fraction(parse_digits(text))
             whole, _, frac = text.partition(".")
             if whole.isdigit() and frac.isdigit():
-                return Fraction(int(whole + frac), 10 ** len(frac))
+                return Fraction(parse_digits(whole + frac), 10 ** len(frac))
+            num, _, den = text.partition("/")
+            if num.isdigit() and den.isdigit():
+                return Fraction(parse_digits(num), parse_digits(den))
         _, e, exponent = text.replace("E", "e").rpartition("e")
         if e:
             try:
@@ -47,11 +56,37 @@ def parse_rational(text: str) -> Fraction:
                 too_big = False  # not an exponent; Fraction rejects or reads it
             if too_big:
                 raise MalformedWeightError(
-                    f"exponent beyond +-{MAX_EXPONENT} in literal: {text!r}"
+                    f"exponent beyond +-{MAX_EXPONENT} in literal: {echo(text)}"
                 )
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise MalformedWeightError(f"not a decimal or p/q rational literal: {text!r}") from None
+        raise MalformedWeightError(
+            f"not a decimal or p/q rational literal: {echo(text)}"
+        ) from None
+
+
+def parse_digits(digits: str) -> int:
+    """``int(digits)`` for a run of ASCII digits of any length up to
+    ``MAX_EXPONENT``, without raising the interpreter-wide limit
+    ``sys.get_int_max_str_digits()``: runs past it convert through
+    ``decimal``, which has none (about 0.4 s at the bound). Raises
+    MalformedWeightError for a longer run.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        if len(digits) > MAX_EXPONENT:
+            raise MalformedWeightError(
+                f"more than {MAX_EXPONENT} digits in literal: {echo(digits)}"
+            ) from None
+        return int(decimal.Decimal(digits))
+
+
+def echo(text: str) -> str:
+    """``repr(text)`` for error messages, cut to ``ECHO_LIMIT`` characters."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_weight(text: str) -> Fraction:
@@ -63,22 +98,27 @@ def parse_weight(text: str) -> Fraction:
     """
     value = parse_rational(text)
     if value.numerator < 0:
-        raise NegativeWeightError(f"negative weight: {text!r}")
+        raise NegativeWeightError(f"negative weight: {echo(text)}")
     return value
 
 
 def exact_str(value: Fraction | int) -> str:
-    """``str(value)`` (an integer or ``p/q``) for every value, however large.
+    """``str(value)`` (an integer or ``p/q``) for every value, however large."""
+    return ratio_str(value.numerator, value.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``exact_str(Fraction(num, den))`` for a reduced pair with ``den >= 1``.
 
     ``str`` of an int with more digits than ``sys.get_int_max_str_digits()``
     raises ValueError; such values are converted through ``decimal`` instead,
     which has no such limit.
     """
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        num = str(decimal.Decimal(value.numerator))
-        return num if value.denominator == 1 else f"{num}/{decimal.Decimal(value.denominator)}"
+        text = str(decimal.Decimal(num))
+        return text if den == 1 else f"{text}/{decimal.Decimal(den)}"
 
 
 def decimal_approx(value: Fraction, digits: int = 12) -> str:

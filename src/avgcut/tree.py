@@ -27,8 +27,6 @@ from .rational import exact_str, parse_weight
 NodeId = int
 EdgeId = int  # the id of the edge's head node
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class RootedTree:
@@ -39,7 +37,8 @@ class RootedTree:
         root: id of the unique node with no parent.
         parent: per-node parent id, None for the root.
         children: per-node tuple of child ids, sorted ascending.
-        weights: per-edge weight indexed by head id; the root slot is unused.
+        wnum, wden: per-edge weight ``wnum[v] / wden[v]`` indexed by head id,
+            in lowest terms with ``wden[v] >= 1``; the root slot is ``0/1``.
         labels: per-node text label, unique across the tree.
     """
 
@@ -47,9 +46,16 @@ class RootedTree:
     root: NodeId
     parent: tuple[NodeId | None, ...]
     children: tuple[tuple[NodeId, ...], ...]
-    weights: tuple[Fraction, ...]
+    wnum: tuple[int, ...]
+    wden: tuple[int, ...]
     labels: tuple[str, ...]
     label_index: dict[str, NodeId] = field(repr=False, compare=False, default_factory=dict)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Per-edge weight as a Fraction, indexed by head id; the root slot
+        is 0. Built from ``wnum``/``wden`` on first use and kept."""
+        return tuple(map(Fraction, self.wnum, self.wden))
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -61,11 +67,10 @@ class RootedTree:
         fractions instead, because with distinct prime denominators this
         scale grows linearly in the number of edges.
         """
-        weights = self.weights
-        dens = {w.denominator for w in weights}
+        dens = set(self.wden)
         scale = math.lcm(*dens)
         factor = {d: scale // d for d in dens}
-        return scale, tuple(w.numerator * factor[w.denominator] for w in weights)
+        return scale, tuple(n * factor[d] for n, d in zip(self.wnum, self.wden))
 
     # --- elementary queries ------------------------------------------- #
 
@@ -133,25 +138,24 @@ def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
     NegativeWeightError for weights below zero.
     """
     ids: dict[str, NodeId] = {}
-    labels: list[str] = []
     parent: list[NodeId | None] = []
-    weight: list[Fraction] = []  # the root keeps the shared zero
-    saw_zero = False
+    wnum: list[int] = []
+    wden: list[int] = []
     for parent_label, child_label, w in edges:
         if type(w) is not Fraction:
             w = Fraction(w)
         u = ids.get(parent_label)
         if u is None:
-            u = ids[parent_label] = len(labels)
-            labels.append(parent_label)
+            u = ids[parent_label] = len(parent)
             parent.append(None)
-            weight.append(_ZERO)
+            wnum.append(0)
+            wden.append(1)
         c = ids.get(child_label)
         if c is None:
-            c = ids[child_label] = len(labels)
-            labels.append(child_label)
+            c = ids[child_label] = len(parent)
             parent.append(None)
-            weight.append(_ZERO)
+            wnum.append(0)
+            wden.append(1)
         if parent[c] is not None:
             raise DuplicateParentError(f"child label {child_label!r} has two in-edges")
         if c == u:
@@ -161,54 +165,54 @@ def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
             raise NegativeWeightError(
                 f"negative weight on edge to {child_label!r}: {exact_str(w)}"
             )
-        if not num:
-            saw_zero = True
         parent[c] = u
-        weight[c] = w
-    if not labels:
+        wnum[c] = num
+        wden[c] = w.denominator
+    if not ids:
         raise NotATreeError("no edges given")
+    return _assemble(ids, parent, wnum, wden)
 
+
+def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> RootedTree:
+    """The validated tree over per-node columns in ``ids`` order, where
+    parentless nodes have parent None and weight 0/1."""
+    labels = tuple(ids)
     n = len(labels)
-    roots = []
-    # Ascending v, so every children list comes out sorted.
-    children: list[list[NodeId]] = [[] for _ in range(n)]
+    # Ascending v, so every children list comes out sorted; the extra last
+    # list collects the parentless nodes.
+    children = [[] for _ in range(n + 1)]
     for v, p in enumerate(parent):
-        if p is None:
-            roots.append(v)
-        else:
-            children[p].append(v)
+        children[n if p is None else p].append(v)
+    roots = children.pop()
     if len(roots) != 1:
         if not roots:
             raise NotATreeError("no root: every label has a parent (cycle)")
         names = ", ".join(repr(labels[v]) for v in roots)
         raise NotATreeError(f"not connected: multiple parentless labels ({names})")
     root = roots[0]
+    children = tuple(map(tuple, children))  # frees the lists: a lower peak
 
-    # Reachability from the root catches cycles hanging off a valid-looking root.
+    # Every other node has one parent, so walking down from the root meets
+    # each node at most once; it misses the nodes of any cycle.
     seen = 1
-    stack = [root]
-    visited = bytearray(n)
-    visited[root] = 1
-    while stack:
-        v = stack.pop()
-        for c in children[v]:
-            if not visited[c]:
-                visited[c] = 1
-                seen += 1
-                stack.append(c)
+    level = [root]
+    while level:
+        level = [c for v in level for c in children[v]]
+        seen += len(level)
     if seen != n:
         raise NotATreeError("parent relation contains a cycle or unreachable nodes")
 
-    if saw_zero:
-        warnings.warn("tree contains zero-weight edges", ZeroWeightWarning, stacklevel=2)
+    if wnum.count(0) > 1:  # the root's slot is the one zero expected
+        warnings.warn("tree contains zero-weight edges", ZeroWeightWarning, stacklevel=3)
 
     return RootedTree(
         node_count=n,
         root=root,
         parent=tuple(parent),
-        children=tuple(map(tuple, children)),
-        weights=tuple(weight),
-        labels=tuple(labels),
+        children=children,
+        wnum=tuple(wnum),
+        wden=tuple(wden),
+        labels=labels,
         label_index=ids,
     )
 

@@ -6,6 +6,8 @@ import pytest
 
 from avgcut.cli import run_cli
 
+from .helpers import figure_edge_rows
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -35,6 +37,22 @@ def linkage_file(tmp_path):
     ]
     path = tmp_path / "linkage.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture
+def figure_newick_file(tmp_path):
+    """The golden figure tree written as Newick instead of an edge list."""
+    kids: dict = {}
+    for parent, child, weight in figure_edge_rows():
+        kids.setdefault(parent, []).append((child, weight))
+
+    def node(label):
+        inner = ",".join(f"{node(c)}:{w}" for c, w in kids.get(label, []))
+        return f"({inner}){label}" if inner else label
+
+    path = tmp_path / "figure.nwk"
+    path.write_text(node("v0") + ";\n")
     return path
 
 
@@ -188,6 +206,17 @@ class TestOracleCommand:
         )
         assert parse_report(oracle_out)["average"] == parse_report(cut_out)["average"]
 
+    def test_newick_input_matches_the_edge_list(self, capsys, figure_file, figure_newick_file):
+        _, edgelist_out, _ = run(capsys, "oracle", "--input", str(figure_file))
+        code, newick_out, err = run(
+            capsys, "oracle", "--format", "newick", "--input", str(figure_newick_file)
+        )
+        assert code == 0 and err == ""
+        edgelist, newick = parse_report(edgelist_out), parse_report(newick_out)
+        assert newick["cut_count"] == edgelist["cut_count"] == "729"
+        assert newick["average"] == edgelist["average"] == "3"
+        assert sorted(newick["cut"]) == sorted(edgelist["cut"])
+
     def test_limit_exceeded_exit_code(self, capsys, figure_file):
         code, _, err = run(
             capsys, "oracle", "--input", str(figure_file), "--limit", "10"
@@ -200,6 +229,13 @@ class TestCountCommand:
     def test_figure(self, capsys, figure_file):
         code, out, _ = run(capsys, "count", "--input", str(figure_file))
         assert code == 0
+        assert parse_report(out)["cut_count"] == "729"
+
+    def test_newick_input_matches_the_edge_list(self, capsys, figure_newick_file):
+        code, out, err = run(
+            capsys, "count", "--format", "newick", "--input", str(figure_newick_file)
+        )
+        assert code == 0 and err == ""
         assert parse_report(out)["cut_count"] == "729"
 
 

@@ -216,6 +216,33 @@ class TestOptimalAverageCut:
         t = star_tree(Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
         assert optimal_average_cut(t).average == Fraction(1, 5)
 
+    def test_cut_edges_walk_equals_a_full_scan(self):
+        """After every contraction of random runs, under both objectives, the
+        cut is every live edge whose tail lies in the root's supernode."""
+
+        def scan(state):
+            t = state.tree
+            rr = state.representative(t.root)
+            return frozenset(
+                e for e in t.edges()
+                if state.is_alive(e) and state.representative(t.tail(e)) == rr
+            )
+
+        rng = random.Random(17)
+        for _ in range(60):
+            t = random_tree(rng, max_nodes=40)
+            for objective in Objective:
+                state = ContractionState(t, objective)
+                assert state.cut_edges() == scan(state)
+                # A random prefix of contractions, then the greedy run.
+                internal = t.internal_edges()
+                for e in rng.sample(internal, rng.randint(0, len(internal))):
+                    state.contract(e)
+                    assert state.cut_edges() == scan(state)
+                state.run()
+                assert state.cut_edges() == scan(state)
+                assert state.result().size == len(state.cut_edges())
+
 
 class TestTrace:
     def test_history_starts_at_initial_average(self, figure_tree):

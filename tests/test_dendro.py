@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -191,6 +192,16 @@ class TestDirectBuild:
         assert all(type(w) is Fraction for w in t.weights)
         assert t.labels == ref.labels
         assert t.label_index == ref.label_index
+
+    @settings(max_examples=200, deadline=None)
+    @given(linkage_tables(), st.sampled_from(["gap", "height"]))
+    def test_weight_columns_are_reduced_and_match_from_edges(self, table, scheme):
+        t = linkage_to_tree(table, scheme)
+        ref = reference_tree(table, scheme)
+        assert (t.wnum, t.wden) == (ref.wnum, ref.wden)
+        assert all(d >= 1 and math.gcd(n, d) == 1 for n, d in zip(t.wnum, t.wden))
+        assert (t.wnum[t.root], t.wden[t.root]) == (0, 1)
+        assert t == ref
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -1,10 +1,14 @@
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcut import (
     ContractionState,
     format_edgelist,
+    from_edges,
     parse_edgelist,
     parse_newick,
 )
@@ -17,7 +21,9 @@ from avgcut.errors import (
     NotATreeError,
     ParseError,
     UnbalancedParensError,
+    ZeroWeightWarning,
 )
+from avgcut.rational import MAX_EXPONENT
 
 
 class TestParseEdgelist:
@@ -135,6 +141,26 @@ class TestParseEdgelist:
         t = parse_edgelist("# c d 5\nr a 1\n  #x y z\n")
         assert t.node_count == 2
 
+    def test_weights_are_reduced_int_columns(self):
+        t = parse_edgelist("r a 6/4\nr b 2.50\nr c 7\n")
+        assert t.wnum[t.root] == 0 and t.wden[t.root] == 1
+        pairs = {t.labels[e]: (t.wnum[e], t.wden[e]) for e in t.edges()}
+        assert pairs == {"a": (3, 2), "b": (5, 2), "c": (7, 1)}
+        assert t.weights == (0, Fraction(3, 2), Fraction(5, 2), 7)
+
+    def test_5000_digit_weights(self):
+        big = "9" * 5000
+        t = parse_edgelist(f"r a {big}\nr b {big}/{big}7\n")
+        assert t.wnum[t.edge_by_child("a")] == 10**5000 - 1
+        assert t.edge_weight(t.edge_by_child("b")) == Fraction(10**5000 - 1, 10**5001 - 3)
+
+    def test_weight_past_the_digit_bound_is_a_short_line_numbered_error(self):
+        with pytest.raises(MalformedWeightError) as exc:
+            parse_edgelist("r a 1\nr b " + "1" * (MAX_EXPONENT + 1) + "\n")
+        message = str(exc.value)
+        assert message.startswith(f"line 2: more than {MAX_EXPONENT} digits")
+        assert len(message) < 150
+
 
 class TestFormatEdgelist:
     def test_round_trip_is_isomorphic(self, figure_text, figure_tree):
@@ -153,6 +179,13 @@ class TestFormatEdgelist:
             for e in again.edges()
         }
         assert original == reparsed
+
+    @pytest.mark.parametrize("weight", ["1e-5000", "9" * 5000, "1/" + "3" * 5000])
+    def test_round_trip_past_the_int_digit_limit(self, weight):
+        t = parse_edgelist(f"r a {weight}\nr b 1\n")
+        again = parse_edgelist(format_edgelist(t))
+        assert again == t
+        assert format_edgelist(again) == format_edgelist(t)
 
     def test_exact_weights_survive(self):
         t = parse_edgelist("r a 0.1\na x 1/3\n")
@@ -237,3 +270,43 @@ class TestParseNewick:
         newick = parse_newick("((X:3,Y:1)a:2,(Z:5)b:4)R;")
         edgelist = parse_edgelist("R a 2\nR b 4\na X 3\na Y 1\nb Z 5\n")
         assert format_edgelist(newick) == format_edgelist(edgelist)
+
+
+_WEIGHT_TEXT = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.builds(
+        lambda whole, frac: f"{whole}.{frac}",
+        st.integers(0, 10**6),
+        st.text(alphabet="0123456789", min_size=1, max_size=8),
+    ),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 10**9), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def edge_lists(draw):
+    """Random trees as shuffled (parent, child, weight text) rows."""
+    n = draw(st.integers(2, 30))
+    names = draw(st.lists(st.text(alphabet="abxyz01", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    rows = [
+        (names[draw(st.integers(0, v - 1))], names[v], draw(_WEIGHT_TEXT))
+        for v in range(1, n)
+    ]
+    return draw(st.permutations(rows))
+
+
+class TestOnePassParserMatchesFromEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_field_by_field(self, rows):
+        text = "".join(f"{p} {c}\t{w}\n" for p, c, w in rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroWeightWarning)
+            parsed = parse_edgelist(text)
+            built = from_edges((p, c, Fraction(w)) for p, c, w in rows)
+        for name in ("node_count", "root", "parent", "children", "wnum", "wden",
+                     "labels", "label_index", "weights"):
+            assert getattr(parsed, name) == getattr(built, name), name
+        assert all(type(w) is Fraction for w in parsed.weights)
+        assert parsed == built

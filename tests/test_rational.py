@@ -1,4 +1,5 @@
 import decimal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,45 @@ class TestExactStr:
         assert decimal.Decimal(num_text) == decimal.Decimal(num)
         assert decimal.Decimal(den_text) == decimal.Decimal(den)
         assert exact_str(Fraction(num)) == num_text
+
+
+class TestLongDigitRuns:
+    """Digit runs past ``sys.get_int_max_str_digits()`` (4,300 by default)."""
+
+    def test_5000_digit_integer(self):
+        assert parse_weight("9" * 5000) == 10**5000 - 1
+
+    def test_5000_digit_ratio(self):
+        value = parse_weight("3" * 5000 + "/1" + "0" * 4999)
+        assert value == Fraction((10**5000 - 1) // 3, 10**4999)
+
+    def test_5000_digit_decimal(self):
+        value = parse_weight("1." + "0" * 4998 + "1")
+        assert value - 1 == Fraction(1, 10**4999)
+
+    def test_interpreter_limit_unchanged(self):
+        before = sys.get_int_max_str_digits()
+        parse_weight("9" * 5000)
+        assert sys.get_int_max_str_digits() == before
+
+    def test_bound_itself_is_accepted(self):
+        assert parse_weight("1" + "0" * (MAX_EXPONENT - 1)) == 10 ** (MAX_EXPONENT - 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * (MAX_EXPONENT + 1), "1/" + "3" * (MAX_EXPONENT + 1), "0." + "5" * MAX_EXPONENT],
+    )
+    def test_past_the_bound_fails_with_a_short_message(self, text):
+        with pytest.raises(MalformedWeightError) as exc:
+            parse_weight(text)
+        message = str(exc.value)
+        assert f"more than {MAX_EXPONENT} digits" in message
+        assert len(message) < 150
+
+    def test_malformed_long_literal_is_echoed_short(self):
+        with pytest.raises(MalformedWeightError) as exc:
+            parse_weight("1" * 5000 + "x")
+        message = str(exc.value)
+        assert message == (
+            "not a decimal or p/q rational literal: " + repr("1" * 64) + "... (5001 characters)"
+        )

@@ -1,11 +1,12 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from avgcut import build_tree, from_edges
+from avgcut import build_tree, from_edges, parse_edgelist
 from avgcut.errors import (
     DuplicateParentError,
     MalformedWeightError,
@@ -75,6 +76,25 @@ class TestBuildTree:
         with pytest.warns(ZeroWeightWarning):
             t = build_tree([("r", "a", "0"), ("r", "b", "1")])
         assert t.edge_weight(t.edge_by_child("a")) == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: from_edges((p, c, Fraction(w)) for p, c, w in rows),
+            lambda rows: parse_edgelist("".join(f"{p} {c} {w}\n" for p, c, w in rows)),
+        ],
+        ids=["from_edges", "parse_edgelist"],
+    )
+    def test_zero_weight_warning_only_for_a_zero_edge(self, build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build([("r", "a", "1"), ("r", "b", "1/2"), ("a", "x", "3")])
+        assert caught == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build([("r", "a", "1"), ("r", "b", "0"), ("a", "x", "0.0")])
+        assert [w.category for w in caught] == [ZeroWeightWarning]
+        assert caught[0].filename == __file__  # attributed to the caller
 
     def test_empty_input_rejected(self):
         with pytest.raises(NotATreeError):
