@@ -266,6 +266,58 @@ class TestParseNewick:
         with pytest.raises(ParseError):
             parse_newick("  ;")
 
+    # (input, error kind, full message). Offsets are 0-based into the text
+    # after stripping whitespace and one trailing ';'.
+    HOSTILE = [
+        ("(A:1,B:2))R;", UnbalancedParensError, "unmatched ')' at offset 9"),
+        ("((A:1,B:2)R;", UnbalancedParensError, "unclosed '('"),
+        ("()R;", ParseError, "empty parentheses at offset 1"),
+        (",A:1;", ParseError, "expected a node at offset 0"),
+        (";(A:1)R;", ParseError, "expected a node at offset 0"),
+        ("(A:1,,B:2)R;", ParseError, "expected a node at offset 5"),
+        ("(,A:1)R;", ParseError, "expected a node at offset 1"),
+        ("(A:1;B:2)R;", ParseError, "expected ',' or ')' at offset 4"),
+        ("(A:1 B:2)R;", ParseError, "expected ',' or ')' at offset 5"),
+        ("(A:1)(B:1)R;", ParseError, "expected ',' or ')' at offset 5"),
+        ("(A:1)R;;", ParseError, "expected ',' or ')' at offset 6"),
+        ("(A:1,B:2)R:;", ParseError, "missing branch length after ':' at offset 11"),
+        ("(A:1,B: ,C:1)R;", ParseError, "missing branch length after ':' at offset 8"),
+        ("((A:1,B:2),C:3)R;", MissingBranchLengthError, "node '_1' has no branch length"),
+        ("(A:1e,B:2)R;", MalformedWeightError, "not a decimal or p/q rational literal: '1e'"),
+        ("(A:1/0,B:2)R;", MalformedWeightError, "not a decimal or p/q rational literal: '1/0'"),
+        ("(A:-1,B:2)R;", NegativeWeightError, "negative weight: '-1'"),
+        (
+            "(A:" + "1" * (MAX_EXPONENT + 1) + ",B:2)R;",
+            MalformedWeightError,
+            f"more than {MAX_EXPONENT} digits in literal: {'1' * 64!r}..."
+            f" ({MAX_EXPONENT + 1} characters)",
+        ),
+        ("(A:1)R:-1;", NegativeWeightError, "negative weight: '-1'"),
+        ("(A:1,A:2)R;", DuplicateParentError, "child label 'A' has two in-edges"),
+        ("(R:1)R;", NotATreeError, "self-loop at 'R'"),
+        ("((R:1)a:1)R;", NotATreeError, "no root: every label has a parent (cycle)"),
+        ("A:1,B:2;", ParseError, "input is not a single rooted tree"),
+        ("(A:1),(B:1);", ParseError, "input is not a single rooted tree"),
+        ("A;", ParseError, "tree has no edges"),
+        ("", ParseError, "empty input"),
+        (" ; ", ParseError, "empty input"),
+        # Weight errors come in text order, during the scan ...
+        ("(A:1e,B:2 C:1)R;", MalformedWeightError, "not a decimal or p/q rational literal: '1e'"),
+        ("(A:x,B:-1))R;", MalformedWeightError, "not a decimal or p/q rational literal: 'x'"),
+        # ... and a missing branch length anywhere beats a label error.
+        ("(A:1,A:2,B)R;", MissingBranchLengthError, "node 'B' has no branch length"),
+        ("(A:1,A:2,(B)x:1)R;", MissingBranchLengthError, "node 'B' has no branch length"),
+        ("(R:1,(B)x:1)R;", MissingBranchLengthError, "node 'B' has no branch length"),
+        ("((R:1,B)a:1)R;", MissingBranchLengthError, "node 'B' has no branch length"),
+    ]
+
+    @pytest.mark.parametrize("text, kind, message", HOSTILE)
+    def test_hostile_input_error_table(self, text, kind, message):
+        with pytest.raises(AvgCutError) as exc:
+            parse_newick(text)
+        assert type(exc.value) is kind
+        assert str(exc.value) == message
+
     def test_matches_edgelist_equivalent(self):
         newick = parse_newick("((X:3,Y:1)a:2,(Z:5)b:4)R;")
         edgelist = parse_edgelist("R a 2\nR b 4\na X 3\na Y 1\nb Z 5\n")
