@@ -11,6 +11,9 @@ names already present); a branch length on the root is accepted and ignored.
 
 from __future__ import annotations
 
+import itertools
+import re
+
 from .errors import (
     DuplicateParentError,
     MalformedWeightError,
@@ -20,8 +23,8 @@ from .errors import (
     ParseError,
     UnbalancedParensError,
 )
-from .rational import parse_digits, parse_weight, ratio_str
-from .tree import RootedTree, _assemble, from_edges
+from .rational import parse_digits, parse_weight_pair, ratio_str
+from .tree import RootedTree, _assemble
 
 
 def parse_edgelist(text: str) -> RootedTree:
@@ -45,8 +48,7 @@ def parse_edgelist(text: str) -> RootedTree:
             if weight_text.isdigit() and weight_text.isascii():
                 num, den = parse_digits(weight_text), 1
             else:
-                weight = parse_weight(weight_text)
-                num, den = weight.numerator, weight.denominator
+                num, den = parse_weight_pair(weight_text)
         except (MalformedWeightError, NegativeWeightError) as err:
             raise type(err)(f"line {lineno}: {err}") from None
         u = ids.get(parent_label)
@@ -97,7 +99,9 @@ def edge_rows(t: RootedTree, edges) -> tuple[tuple[str, str, str], ...]:
     return tuple((labels[t.parent[e]], labels[e], ratio_str(wnum[e], wden[e])) for e in edges)
 
 
-_NEWICK_DELIMS = frozenset("(),:;")
+_NEWICK_TOKENS = re.compile(r"[(),:;]|[^\s(),:;]+")
+# Tokens that cannot be a label or a branch length; "" marks the end.
+_NEWICK_STOPS = frozenset(("(", ")", ",", ":", ";", ""))
 
 
 def parse_newick(text: str) -> RootedTree:
@@ -107,110 +111,104 @@ def parse_newick(text: str) -> RootedTree:
         s = s[:-1]
     if not s:
         raise ParseError("empty input")
-    n = len(s)
-    # A node is [label, branch length, children]; the bottom of the stack
-    # collects the finished root.
-    stack: list[list] = [[]]
-    i = 0
-
-    def skip_ws(j: int) -> int:
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    def read_token(j: int) -> tuple[str, int]:
-        k = j
-        while k < n and not s[k].isspace() and s[k] not in _NEWICK_DELIMS:
-            k += 1
-        return s[j:k], k
-
-    def read_suffix(j: int) -> tuple[str | None, object, int]:
-        label, j = read_token(j)
-        j = skip_ws(j)
-        length = None
-        if j < n and s[j] == ":":
-            j = skip_ws(j + 1)
-            token, j = read_token(j)
-            if not token:
-                raise ParseError(f"missing branch length after ':' at offset {j}")
-            length = parse_weight(token)
-        return (label or None), length, j
-
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            break
-        ch = s[i]
-        if ch == "(":
+    tokens = _NEWICK_TOKENS.findall(s) + [""]
+    # Per-node columns in text order; a node without a branch length has
+    # num None. The bottom of the stack collects the top-level nodes.
+    label, num, den, kids = [], [], [], []
+    stack: list[list[int]] = [[]]
+    k = 0
+    while tokens[k]:
+        tok = tokens[k]
+        if tok == "(":
             stack.append([])
-            i += 1
+            k += 1
             continue
-        if ch == ")":
+        if tok == ")":
             if len(stack) < 2:
-                raise UnbalancedParensError(f"unmatched ')' at offset {i}")
-            kids = stack.pop()
-            if not kids:
-                raise ParseError(f"empty parentheses at offset {i}")
-            label, length, i = read_suffix(skip_ws(i + 1))
-            stack[-1].append([label, length, kids])
-        elif ch in ",;":
-            raise ParseError(f"expected a node at offset {i}")
+                raise UnbalancedParensError(f"unmatched ')' at offset {_offset(s, k)}")
+            node_kids = stack.pop()
+            if not node_kids:
+                raise ParseError(f"empty parentheses at offset {_offset(s, k)}")
+            k += 1
+            tok = tokens[k]
+        elif tok == "," or tok == ";":
+            raise ParseError(f"expected a node at offset {_offset(s, k)}")
         else:
-            label, length, i = read_suffix(i)
-            if label is None and length is None:
-                raise ParseError(f"unexpected character {s[i]!r} at offset {i}")
-            stack[-1].append([label, length, []])
+            node_kids = ()
+        if tok not in _NEWICK_STOPS:
+            k += 1
+        else:
+            tok = None  # no label
+        p = q = None
+        if tokens[k] == ":":
+            k += 1
+            if tokens[k] in _NEWICK_STOPS:
+                raise ParseError(f"missing branch length after ':' at offset {_offset(s, k)}")
+            p, q = parse_weight_pair(tokens[k])
+            k += 1
+        stack[-1].append(len(label))
+        label.append(tok)
+        num.append(p)
+        den.append(q)
+        kids.append(node_kids)
         # After a finished node the only legal continuations are a sibling
         # separator, the parent's closing paren, or the end of input.
-        i = skip_ws(i)
-        if i < n:
-            if s[i] == ",":
-                i += 1
-            elif s[i] != ")":
-                raise ParseError(f"expected ',' or ')' at offset {i}")
+        tok = tokens[k]
+        if tok == ",":
+            k += 1
+        elif tok and tok != ")":
+            raise ParseError(f"expected ',' or ')' at offset {_offset(s, k)}")
 
     if len(stack) != 1:
         raise UnbalancedParensError("unclosed '('")
     if len(stack[0]) != 1:
         raise ParseError("input is not a single rooted tree")
     root = stack[0][0]
-    if not root[2]:
+    if not kids[root]:
         raise ParseError("tree has no edges")
-    return _newick_to_tree(root)
+
+    # Walk down from the root as from_edges would read its (parent, child)
+    # rows: ids by first appearance, auto-names in the same order. A label
+    # error is raised only once every branch length is known to be present.
+    used = set(label)
+    fresh = (name for name in map("_{}".format, itertools.count(1)) if name not in used)
+    if label[root] is None:
+        label[root] = next(fresh)
+    ids = {label[root]: 0}
+    node_id = [0] * len(label)
+    parent: list[int | None] = [None]
+    wnum, wden = [0], [1]
+    clash = None
+    walk = [root]
+    while walk:
+        v = walk.pop()
+        u = node_id[v]
+        for c in kids[v]:
+            name = label[c]
+            if name is None:
+                name = label[c] = next(fresh)
+            if num[c] is None:
+                raise MissingBranchLengthError(f"node {name!r} has no branch length")
+            n = len(parent)
+            i = node_id[c] = ids.setdefault(name, n)
+            if i == n:
+                parent.append(u)
+                wnum.append(num[c])
+                wden.append(den[c])
+            elif clash is None:
+                if parent[i] is not None:
+                    clash = DuplicateParentError(f"child label {name!r} has two in-edges")
+                elif i == u:
+                    clash = NotATreeError(f"self-loop at {name!r}")
+                else:  # the root's label again: _assemble reports the cycle
+                    parent[i] = u
+        walk.extend(reversed(kids[v]))
+    if clash is not None:
+        raise clash
+    return _assemble(ids, parent, wnum, wden)
 
 
-def _newick_to_tree(root: list) -> RootedTree:
-    used: set[str] = set()
-    scan = [root]
-    while scan:
-        node = scan.pop()
-        if node[0] is not None:
-            used.add(node[0])
-        scan.extend(node[2])
-
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            counter += 1
-            name = f"_{counter}"
-            if name not in used:
-                used.add(name)
-                return name
-
-    if root[0] is None:
-        root[0] = fresh()
-    # The root's own branch length, if present, has no edge and is ignored.
-    triples = []
-    stack = [root]
-    while stack:
-        label, _length, kids = stack.pop()
-        for kid in kids:
-            if kid[0] is None:
-                kid[0] = fresh()
-            if kid[1] is None:
-                raise MissingBranchLengthError(f"node {kid[0]!r} has no branch length")
-            triples.append((label, kid[0], kid[1]))
-        stack.extend(reversed(kids))
-    return from_edges(triples)
+def _offset(s: str, k: int) -> int:
+    """The offset in ``s`` of its token ``k``, or ``len(s)`` past the last."""
+    match = next(itertools.islice(_NEWICK_TOKENS.finditer(s), k, None), None)
+    return len(s) if match is None else match.start()

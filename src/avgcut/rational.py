@@ -11,6 +11,7 @@ strict comparisons the cut algorithm depends on are never off by an ulp.
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 
 from .errors import MalformedWeightError, NegativeWeightError
@@ -39,15 +40,9 @@ def parse_rational(text: str) -> Fraction:
     :func:`parse_digits`). Raises MalformedWeightError.
     """
     try:
-        if text.isascii():
-            if text.isdigit():
-                return Fraction(parse_digits(text))
-            whole, _, frac = text.partition(".")
-            if whole.isdigit() and frac.isdigit():
-                return Fraction(parse_digits(whole + frac), 10 ** len(frac))
-            num, _, den = text.partition("/")
-            if num.isdigit() and den.isdigit():
-                return Fraction(parse_digits(num), parse_digits(den))
+        num, den = _plain_pair(text)
+        if den:
+            return Fraction(num, den)
         _, e, exponent = text.replace("E", "e").rpartition("e")
         if e:
             try:
@@ -63,6 +58,21 @@ def parse_rational(text: str) -> Fraction:
         raise MalformedWeightError(
             f"not a decimal or p/q rational literal: {echo(text)}"
         ) from None
+
+
+def _plain_pair(text: str) -> tuple[int, int]:
+    """``(p, q)``, unreduced, for a plain ASCII integer, ``digits.digits`` or
+    ``digits/digits`` literal; ``q`` is 0 for ``p/0`` and for any other form."""
+    if text.isascii():
+        if text.isdigit():
+            return parse_digits(text), 1
+        whole, _, frac = text.partition(".")
+        if whole.isdigit() and frac.isdigit():
+            return parse_digits(whole + frac), 10 ** len(frac)
+        num, _, den = text.partition("/")
+        if num.isdigit() and den.isdigit():
+            return parse_digits(num), parse_digits(den)
+    return 0, 0
 
 
 def parse_digits(digits: str) -> int:
@@ -100,6 +110,18 @@ def parse_weight(text: str) -> Fraction:
     if value.numerator < 0:
         raise NegativeWeightError(f"negative weight: {echo(text)}")
     return value
+
+
+def parse_weight_pair(text: str) -> tuple[int, int]:
+    """``parse_weight(text)`` as its reduced ``(numerator, denominator)``,
+    with the same errors; plain literals (see :func:`parse_rational`) are
+    read without building a Fraction."""
+    num, den = _plain_pair(text)
+    if den:
+        g = math.gcd(num, den)
+        return num // g, den // g
+    value = parse_weight(text)
+    return value.numerator, value.denominator
 
 
 def exact_str(value: Fraction | int) -> str:

@@ -7,7 +7,7 @@ import warnings
 from fractions import Fraction
 
 from avgcut import RootedTree, from_edges
-from avgcut.errors import ZeroWeightWarning
+from avgcut.errors import MissingBranchLengthError, ZeroWeightWarning
 
 # The 40-node golden tree: three branches under the root (edge weights 1, 2,
 # 3), each with three mid nodes (weights 2,2,2 / 3,3,3 / 1,1,1), each mid
@@ -86,6 +86,52 @@ def random_tree(rng: random.Random, min_nodes: int = 4, max_nodes: int = 25) -> 
         edges.append((f"n{parent}", f"n{i}", pool(rng)))
     rng.shuffle(edges)
     return quiet_tree(edges)
+
+
+def newick_reference(root: list) -> RootedTree:
+    """The tree ``parse_newick`` builds from a parsed Newick node, where a
+    node is ``[label or None, Fraction branch length or None, children]``.
+
+    The tree-building half of the original recursive-descent parser: it
+    auto-names unlabeled nodes ``_1``, ``_2``, ... (skipping labels in use),
+    root first and then each node's children as the node is reached in
+    preorder, and hands ``(parent, child, length)`` rows in that order to
+    ``from_edges``. It mutates ``root``'s labels.
+    """
+    used: set[str] = set()
+    scan = [root]
+    while scan:
+        node = scan.pop()
+        if node[0] is not None:
+            used.add(node[0])
+        scan.extend(node[2])
+
+    counter = 0
+
+    def fresh() -> str:
+        nonlocal counter
+        while True:
+            counter += 1
+            name = f"_{counter}"
+            if name not in used:
+                used.add(name)
+                return name
+
+    if root[0] is None:
+        root[0] = fresh()
+    # The root's own branch length, if present, has no edge and is ignored.
+    triples = []
+    stack = [root]
+    while stack:
+        label, _length, kids = stack.pop()
+        for kid in kids:
+            if kid[0] is None:
+                kid[0] = fresh()
+            if kid[1] is None:
+                raise MissingBranchLengthError(f"node {kid[0]!r} has no branch length")
+            triples.append((label, kid[0], kid[1]))
+        stack.extend(reversed(kids))
+    return quiet_tree(triples)
 
 
 def _primes_from(low: int, count: int) -> list[int]:

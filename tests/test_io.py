@@ -11,6 +11,7 @@ from avgcut import (
     from_edges,
     parse_edgelist,
     parse_newick,
+    parse_weight,
 )
 from avgcut.errors import (
     AvgCutError,
@@ -23,7 +24,9 @@ from avgcut.errors import (
     UnbalancedParensError,
     ZeroWeightWarning,
 )
-from avgcut.rational import MAX_EXPONENT
+from avgcut.rational import MAX_EXPONENT, parse_weight_pair
+
+from .helpers import newick_reference
 
 
 class TestParseEdgelist:
@@ -362,3 +365,101 @@ class TestOnePassParserMatchesFromEdges:
             assert getattr(parsed, name) == getattr(built, name), name
         assert all(type(w) is Fraction for w in parsed.weights)
         assert parsed == built
+
+
+_GAP = st.sampled_from(["", "", "", " ", "\t", "\n  "])
+
+
+@st.composite
+def newick_trees(draw):
+    """``(text, node)``: a random Newick text with stray whitespace, and the
+    ``[label, Fraction length, children]`` node it describes. Some labels are
+    missing or pre-taken ``_k`` names; now and then a label repeats or a
+    branch length is missing, so errors are compared too."""
+    n = draw(st.integers(2, 25))
+    names = draw(st.lists(st.text(alphabet="ab_12", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    labels = [draw(st.sampled_from([name, name, None])) for name in names]
+    repeat = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    if repeat is not None and draw(st.integers(0, 3)) == 0:
+        labels[repeat[0]] = names[repeat[1]]
+    missing = draw(st.integers(0, 8 * n))
+    lengths = [draw(_WEIGHT_TEXT) if v != missing else None for v in range(n)]
+    if draw(st.booleans()):
+        lengths[0] = None  # no root length
+    kids = [[] for _ in range(n)]
+    for v in range(1, n):
+        kids[draw(st.integers(0, v - 1))].append(v)
+    kids = [draw(st.permutations(k)) if len(k) > 1 else k for k in kids]
+    for v in range(n):
+        if not (kids[v] or labels[v] or lengths[v]):
+            labels[v] = names[v]  # an empty leaf would not be a node at all
+
+    def text(v):
+        out = draw(_GAP)
+        if kids[v]:
+            out += "(" + ",".join(text(c) for c in kids[v]) + ")" + draw(_GAP)
+        out += labels[v] or ""
+        if lengths[v] is not None:
+            out += draw(_GAP) + ":" + draw(_GAP) + lengths[v]
+        return out + draw(_GAP)
+
+    def node(v):
+        length = None if lengths[v] is None else Fraction(lengths[v])
+        return [labels[v], length, [node(c) for c in kids[v]]]
+
+    return text(0) + draw(st.sampled_from([";", ";\n", ""])), node(0)
+
+
+class TestParseNewickMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(newick_trees())
+    def test_field_by_field(self, case):
+        text, root = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroWeightWarning)
+            try:
+                expected = newick_reference(root)
+            except AvgCutError as err:
+                with pytest.raises(type(err)) as exc:
+                    parse_newick(text)
+                assert str(exc.value) == str(err)
+                return
+            parsed = parse_newick(text)
+        for name in ("node_count", "root", "parent", "children", "wnum", "wden",
+                     "labels", "label_index"):
+            assert getattr(parsed, name) == getattr(expected, name), name
+
+    def test_zero_weight_warning_is_attributed_to_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_newick("(a:0,b:0)r;")
+        assert [w.category for w in caught] == [ZeroWeightWarning]
+        assert caught[0].filename == __file__
+
+
+_BAD_WEIGHT_TEXT = st.one_of(
+    _WEIGHT_TEXT.map("-{}".format),
+    st.builds("{}/{}".format, st.integers(0, 10**9), st.sampled_from(["0", "00"])),
+    st.text(alphabet="0123456789./-+eE_ x٣²", max_size=8),
+)
+
+
+class TestParseWeightPair:
+    @settings(max_examples=300, deadline=None)
+    @given(_WEIGHT_TEXT)
+    def test_reduced_pair_of_the_fraction(self, text):
+        value = Fraction(text)
+        assert parse_weight_pair(text) == (value.numerator, value.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BAD_WEIGHT_TEXT)
+    def test_same_outcome_as_parse_weight(self, text):
+        try:
+            value = parse_weight(text)
+        except AvgCutError as err:
+            with pytest.raises(type(err)) as exc:
+                parse_weight_pair(text)
+            assert str(exc.value) == str(err)
+        else:
+            assert parse_weight_pair(text) == (value.numerator, value.denominator)
