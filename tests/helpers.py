@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
+from typing import Iterator
 
-from avgcut import RootedTree, from_edges
+from avgcut import CutResult, InternalSubtree, Objective, RootedTree, from_edges
 from avgcut.errors import MissingBranchLengthError, ZeroWeightWarning
 
 # The 40-node golden tree: three branches under the root (edge weights 1, 2,
@@ -211,3 +212,153 @@ def prime_denominator_path(n_edges: int) -> RootedTree:
 
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
     return frozenset(t.edge_by_child(lb) for lb in labels)
+
+
+class _ReferencePrep:
+    """Shared precomputation for the iterative cut enumeration."""
+
+    __slots__ = (
+        "scale", "w", "leaf_edges", "leaf_sum", "leaf_count", "order", "skip_to"
+    )
+
+    def __init__(self, t: RootedTree):
+        n = t.node_count
+        self.scale, self.w = t.scaled_weights
+        self.leaf_edges = [
+            [c for c in t.children[v] if not t.children[c]] for v in range(n)
+        ]
+        self.leaf_sum = [sum(self.w[c] for c in cs) for cs in self.leaf_edges]
+        self.leaf_count = [len(cs) for cs in self.leaf_edges]
+
+        # Preorder over internal non-root nodes; each internal subtree is a
+        # contiguous block, so deciding a node "cut here" can skip past it.
+        internal_kids = [
+            [c for c in t.children[v] if t.children[c]] for v in range(n)
+        ]
+        isize = [1] * n
+        bfs: list[int] = [t.root]
+        for v in bfs:
+            bfs.extend(internal_kids[v])
+        for v in reversed(bfs):
+            isize[v] = 1 + sum(isize[c] for c in internal_kids[v])
+
+        order: list[int] = []
+        stack = list(reversed(internal_kids[t.root]))
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(internal_kids[v]))
+        self.order = order
+        pos_of = {v: i for i, v in enumerate(order)}
+        self.skip_to = [pos_of[v] + isize[v] for v in order]
+
+
+def _reference_walk(
+    t: RootedTree, prep: _ReferencePrep
+) -> Iterator[tuple[list, set, int, int]]:
+    """Yield every (subtree nodes, cut, scaled total, size), reusing buffers.
+
+    Callers must copy what they keep: the yielded list and set are mutated
+    in place.
+    """
+    order = prep.order
+    skip_to = prep.skip_to
+    w = prep.w
+    leaf_edges = prep.leaf_edges
+    leaf_sum = prep.leaf_sum
+    leaf_count = prep.leaf_count
+    m = len(order)
+
+    root = t.root
+    subtree: list[int] = [root]
+    cut: set[int] = set(leaf_edges[root])
+    total = leaf_sum[root]
+    size = leaf_count[root]
+
+    # Backtracking over "cut here" (False) vs "expand into subtree" (True)
+    # decisions; a node is only reachable when all its ancestors expanded.
+    frames: list[tuple[int, bool]] = []
+    pos = 0
+    while True:
+        while pos < m:
+            v = order[pos]
+            cut.add(v)
+            total += w[v]
+            size += 1
+            frames.append((pos, False))
+            pos = skip_to[pos]
+        yield subtree, cut, total, size
+
+        while frames and frames[-1][1]:
+            p, _ = frames.pop()
+            v = order[p]
+            for leaf in leaf_edges[v]:
+                cut.remove(leaf)
+            total -= leaf_sum[v]
+            size -= leaf_count[v]
+            subtree.pop()
+        if not frames:
+            return
+        p, _ = frames.pop()
+        v = order[p]
+        cut.remove(v)
+        total -= w[v]
+        size -= 1
+        subtree.append(v)
+        cut.update(leaf_edges[v])
+        total += leaf_sum[v]
+        size += leaf_count[v]
+        frames.append((p, True))
+        pos = p + 1
+
+
+def enumerate_reference(t: RootedTree) -> list[tuple[InternalSubtree, frozenset[int]]]:
+    """Every ``(subtree, cut)`` pair in the order ``enumerate_cuts`` yields
+    them, from the walk that keeps the cut as a set and the subtree as a list
+    and updates both at every step. No cut limit is applied.
+    """
+    return [
+        (InternalSubtree(frozenset(subtree)), frozenset(cut))
+        for subtree, cut, _total, _size in _reference_walk(t, _ReferencePrep(t))
+    ]
+
+
+def brute_force_reference(
+    t: RootedTree, objective: Objective = Objective.MAXIMIZE
+) -> CutResult:
+    """``brute_force_optimum`` over the set-and-list walk of
+    ``enumerate_reference``: every cut is compared by cross-multiplication
+    against the best so far, and a tie goes to the lexicographically smallest
+    sorted edge-id list. No cut limit is applied.
+    """
+    prep = _ReferencePrep(t)
+    maximize = objective is Objective.MAXIMIZE
+
+    best_cut: frozenset[int] | None = None
+    best_ids: tuple[int, ...] = ()
+    best_total = 0
+    best_size = 1
+    for _subtree, cut, total, size in _reference_walk(t, prep):
+        if best_cut is None:
+            better = True
+        else:
+            lhs, rhs = total * best_size, best_total * size
+            if lhs == rhs:
+                ids = tuple(sorted(cut))
+                better = ids < best_ids
+            else:
+                better = lhs > rhs if maximize else lhs < rhs
+        if better:
+            best_cut = frozenset(cut)
+            best_ids = tuple(sorted(cut))
+            best_total = total
+            best_size = size
+
+    assert best_cut is not None  # every valid tree has at least one cut
+    return CutResult(
+        cut=best_cut,
+        total=Fraction(best_total, prep.scale),
+        size=best_size,
+        average=Fraction(best_total, best_size * prep.scale),
+        contractions=(),
+    )

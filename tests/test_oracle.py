@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcut import (
     Objective,
@@ -10,9 +12,11 @@ from avgcut import (
     check_push_down_gain,
     count_cuts,
     enumerate_cuts,
+    evaluate_cut,
     internal_subtree,
     is_valid_cut,
     optimal_average_cut,
+    parse_edgelist,
 )
 from avgcut.errors import (
     InvalidCutError,
@@ -22,11 +26,18 @@ from avgcut.errors import (
 )
 
 from .helpers import (
+    brute_force_reference,
     edge_set_by_children,
+    enumerate_reference,
     figure_max_cut_children,
     path_tree,
+    quiet_tree,
     star_tree,
 )
+
+# The first cut enumerated, {a, d}, ties with the other two but is not the
+# lexicographically smallest: ids are b=0, e=1, a=2, c=3, r=4, d=5.
+_TIE_TEXT = "b e 1\na b 1\na c 1\nr a 1\nr d 1\n"
 
 
 class TestCountCuts:
@@ -164,6 +175,17 @@ class TestBruteForce:
         result = brute_force_optimum(t, Objective.MAXIMIZE)
         assert result.cut == edge_set_by_children(t, ["n1"])
 
+    def test_tie_break_is_not_first_found(self):
+        t = parse_edgelist(_TIE_TEXT)
+        cuts = [sorted(cut) for _subtree, cut in enumerate_cuts(t)]
+        assert cuts == [[2, 5], [0, 3, 5], [1, 3, 5]]
+        assert {t.labels[e] for e in cuts[1]} == {"b", "c", "d"}
+        assert all(evaluate_cut(t, cut)[2] == 1 for cut in cuts)
+        for obj in Objective:
+            result = brute_force_optimum(t, obj)
+            assert result.cut == frozenset({0, 3, 5})
+            assert result.average == 1
+
     def test_agrees_with_contraction_on_figure(self, figure_tree):
         for obj in Objective:
             assert (
@@ -266,3 +288,30 @@ class TestOracleAgreementSmall:
                     optimal_average_cut(t, obj).average
                     == brute_force_optimum(t, obj).average
                 )
+
+
+@st.composite
+def tie_heavy_trees(draw):
+    """Random trees of 2-16 nodes whose weights p/q have p in 0..3 and q in
+    {1, 2, 3}, so many cuts share an average."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    rows = []
+    for i in range(1, n):
+        parent = draw(st.integers(min_value=0, max_value=i - 1))
+        weight = Fraction(
+            draw(st.integers(min_value=0, max_value=3)), draw(st.sampled_from((1, 2, 3)))
+        )
+        rows.append((f"n{parent}", f"n{i}", weight))
+    return quiet_tree(rows)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_trees(), st.sampled_from(list(Objective)))
+    def test_brute_force_optimum(self, t, objective):
+        assert brute_force_optimum(t, objective) == brute_force_reference(t, objective)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_trees())
+    def test_enumerate_cuts_pairs_and_order(self, t):
+        assert list(enumerate_cuts(t)) == enumerate_reference(t)
