@@ -156,6 +156,8 @@ def parse_newick(text: str) -> RootedTree:
         tok = tokens[k]
         if tok == ",":
             k += 1
+            if tokens[k] in (")", ""):
+                raise ParseError(f"expected a node at offset {_offset(s, k)}")
         elif tok and tok != ")":
             raise ParseError(f"expected ',' or ')' at offset {_offset(s, k)}")
 

@@ -8,8 +8,10 @@ Arbitrary disconnecting edge sets are deliberately NOT admitted: padding a
 boundary with extra edges still disconnects but can inflate the average,
 so "all cuts" here means exactly the boundaries.
 
-Everything in this module favors being obviously correct over being fast;
-it exists to check the contraction engine, not to replace it.
+The enumeration changes only ints per step and rebuilds a cut's edge set
+only when a caller needs it (see ``_walk``). Everything else here favors
+being obviously correct over being fast; the module exists to check the
+contraction engine, not to replace it.
 """
 
 from __future__ import annotations
@@ -70,100 +72,103 @@ def count_cuts(t: RootedTree) -> int:
 
 
 class _Prep:
-    """Shared precomputation for the iterative cut enumeration."""
+    """Shared precomputation for the cut enumeration. ``w``, ``leaf_sum``
+    and ``leaf_count`` are indexed by position in ``order``: a node's scaled
+    weight, and the scaled total and number of its leaf out-edges; ``base``
+    holds the root's total and number."""
 
-    __slots__ = (
-        "scale", "w", "leaf_edges", "leaf_sum", "leaf_count", "order", "skip_to"
-    )
+    __slots__ = ("scale", "root", "leaf_edges", "order", "skip_to", "w",
+                 "leaf_sum", "leaf_count", "base")
 
     def __init__(self, t: RootedTree):
         n = t.node_count
-        self.scale, self.w = t.scaled_weights
+        self.scale, w = t.scaled_weights
+        self.root = t.root
         self.leaf_edges = [
             [c for c in t.children[v] if not t.children[c]] for v in range(n)
         ]
-        self.leaf_sum = [sum(self.w[c] for c in cs) for cs in self.leaf_edges]
-        self.leaf_count = [len(cs) for cs in self.leaf_edges]
 
         # Preorder over internal non-root nodes; each internal subtree is a
         # contiguous block, so deciding a node "cut here" can skip past it.
         internal_kids = [
             [c for c in t.children[v] if t.children[c]] for v in range(n)
         ]
-        isize = [1] * n
-        bfs: list[NodeId] = [t.root]
-        for v in bfs:
-            bfs.extend(internal_kids[v])
-        for v in reversed(bfs):
-            isize[v] = 1 + sum(isize[c] for c in internal_kids[v])
-
         order: list[NodeId] = []
         stack = list(reversed(internal_kids[t.root]))
         while stack:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(internal_kids[v]))
+        isize = [1] * n
+        for v in reversed(order):
+            isize[v] += sum(isize[c] for c in internal_kids[v])
         self.order = order
-        pos_of = {v: i for i, v in enumerate(order)}
-        self.skip_to = [pos_of[v] + isize[v] for v in order]
+        self.skip_to = [p + isize[v] for p, v in enumerate(order)]
+        self.w = [w[v] for v in order]
+        leaf_sum = [sum(w[c] for c in cs) for cs in self.leaf_edges]
+        self.leaf_sum = [leaf_sum[v] for v in order]
+        self.leaf_count = [len(self.leaf_edges[v]) for v in order]
+        self.base = (leaf_sum[t.root], len(self.leaf_edges[t.root]))
 
 
-def _walk(t: RootedTree, prep: _Prep) -> Iterator[tuple[list, set, int, int]]:
-    """Yield every (subtree nodes, cut, scaled total, size), reusing buffers.
+def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray, int, int]]:
+    """Yield every cut as (positions, expanded, scaled total, size).
 
-    Callers must copy what they keep: the yielded list and set are mutated
-    in place, which keeps memory at O(tree + one cut) regardless of how many
-    cuts exist.
+    ``positions`` lists the decided positions in ``prep.order``, and
+    ``expanded[p]`` is 1 where the node at position ``p`` joined the internal
+    subtree and 0 where its edge is cut; ``_rebuild`` turns the two into the
+    subtree and the cut. Both buffers are reused and mutated in place, so a
+    caller copies what it keeps, and memory stays O(tree + one cut) however
+    many cuts exist. Each step changes only ints.
     """
-    order = prep.order
     skip_to = prep.skip_to
     w = prep.w
-    leaf_edges = prep.leaf_edges
     leaf_sum = prep.leaf_sum
     leaf_count = prep.leaf_count
-    m = len(order)
+    m = len(skip_to)
 
-    root = t.root
-    subtree: list[NodeId] = [root]
-    cut: set[EdgeId] = set(leaf_edges[root])
-    total = leaf_sum[root]
-    size = leaf_count[root]
-
-    # Backtracking over "cut here" (False) vs "expand into subtree" (True)
+    # Backtracking over "cut here" (0) vs "expand into subtree" (1)
     # decisions; a node is only reachable when all its ancestors expanded.
-    frames: list[tuple[int, bool]] = []
+    positions: list[int] = []
+    expanded = bytearray(m)
+    total, size = prep.base
     pos = 0
     while True:
         while pos < m:
-            v = order[pos]
-            cut.add(v)
-            total += w[v]
+            total += w[pos]
             size += 1
-            frames.append((pos, False))
+            positions.append(pos)
             pos = skip_to[pos]
-        yield subtree, cut, total, size
+        yield positions, expanded, total, size
 
-        while frames and frames[-1][1]:
-            p, _ = frames.pop()
-            v = order[p]
-            for leaf in leaf_edges[v]:
-                cut.remove(leaf)
-            total -= leaf_sum[v]
-            size -= leaf_count[v]
-            subtree.pop()
-        if not frames:
+        while positions and expanded[positions[-1]]:
+            p = positions.pop()
+            expanded[p] = 0
+            total -= leaf_sum[p]
+            size -= leaf_count[p]
+        if not positions:
             return
-        p, _ = frames.pop()
-        v = order[p]
-        cut.remove(v)
-        total -= w[v]
-        size -= 1
-        subtree.append(v)
-        cut.update(leaf_edges[v])
-        total += leaf_sum[v]
-        size += leaf_count[v]
-        frames.append((p, True))
+        p = positions[-1]
+        expanded[p] = 1
+        total += leaf_sum[p] - w[p]
+        size += leaf_count[p] - 1
         pos = p + 1
+
+
+def _rebuild(
+    prep: _Prep, positions: list[int], expanded: bytearray
+) -> tuple[list[NodeId], list[EdgeId]]:
+    """The internal subtree and the cut of one ``_walk`` state."""
+    subtree = [prep.root]
+    cut = list(prep.leaf_edges[prep.root])
+    for p in positions:
+        v = prep.order[p]
+        if expanded[p]:
+            subtree.append(v)
+            cut.extend(prep.leaf_edges[v])
+        else:
+            cut.append(v)
+    return subtree, cut
 
 
 def _check_limit(t: RootedTree, limit: int) -> None:
@@ -180,7 +185,8 @@ def enumerate_cuts(
 
     def gen():
         prep = _Prep(t)
-        for subtree, cut, _total, _size in _walk(t, prep):
+        for positions, expanded, _total, _size in _walk(prep):
+            subtree, cut = _rebuild(prep, positions, expanded)
             yield InternalSubtree(frozenset(subtree)), frozenset(cut)
 
     return gen()
@@ -232,29 +238,20 @@ def brute_force_optimum(
     prep = _Prep(t)
     maximize = objective is Objective.MAXIMIZE
 
-    best_cut: frozenset[EdgeId] | None = None
-    best_ids: tuple[EdgeId, ...] = ()
-    best_total = 0
-    best_size = 1
-    for _subtree, cut, total, size in _walk(t, prep):
-        if best_cut is None:
-            better = True
-        else:
-            lhs, rhs = total * best_size, best_total * size
-            if lhs == rhs:
-                ids = tuple(sorted(cut))
-                better = ids < best_ids
-            else:
-                better = lhs > rhs if maximize else lhs < rhs
-        if better:
-            best_cut = frozenset(cut)
-            best_ids = tuple(sorted(cut))
-            best_total = total
-            best_size = size
+    # Only a cut that ties or beats the best so far is rebuilt; every valid
+    # tree has at least one cut, and the first one seeds the best.
+    walk = _walk(prep)
+    positions, expanded, best_total, best_size = next(walk)
+    best_ids = sorted(_rebuild(prep, positions, expanded)[1])
+    for positions, expanded, total, size in walk:
+        lhs, rhs = total * best_size, best_total * size
+        if lhs == rhs or (lhs > rhs) == maximize:
+            ids = sorted(_rebuild(prep, positions, expanded)[1])
+            if lhs != rhs or ids < best_ids:
+                best_ids, best_total, best_size = ids, total, size
 
-    assert best_cut is not None  # every valid tree has at least one cut
     return CutResult(
-        cut=best_cut,
+        cut=frozenset(best_ids),
         total=Fraction(best_total, prep.scale),
         size=best_size,
         average=Fraction(best_total, best_size * prep.scale),

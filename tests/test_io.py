@@ -279,6 +279,9 @@ class TestParseNewick:
         (";(A:1)R;", ParseError, "expected a node at offset 0"),
         ("(A:1,,B:2)R;", ParseError, "expected a node at offset 5"),
         ("(,A:1)R;", ParseError, "expected a node at offset 1"),
+        ("(A:1,)R;", ParseError, "expected a node at offset 5"),
+        ("(A:1)R,;", ParseError, "expected a node at offset 7"),
+        ("((A:1,)x:2,B:1)R;", ParseError, "expected a node at offset 6"),
         ("(A:1;B:2)R;", ParseError, "expected ',' or ')' at offset 4"),
         ("(A:1 B:2)R;", ParseError, "expected ',' or ')' at offset 5"),
         ("(A:1)(B:1)R;", ParseError, "expected ',' or ')' at offset 5"),
