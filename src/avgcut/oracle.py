@@ -119,7 +119,7 @@ def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray, int, int]]:
     subtree and 0 where its edge is cut; ``_rebuild`` turns the two into the
     subtree and the cut. Both buffers are reused and mutated in place, so a
     caller copies what it keeps, and memory stays O(tree + one cut) however
-    many cuts exist. Each step changes only ints.
+    many cuts exist.
     """
     skip_to = prep.skip_to
     w = prep.w
