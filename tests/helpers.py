@@ -362,3 +362,28 @@ def brute_force_reference(
         average=Fraction(best_total, best_size * prep.scale),
         contractions=(),
     )
+
+
+def random_linkage_csv(rng: random.Random, items: int) -> str:
+    """A linkage CSV over ``items`` items, shaped like the dendrograms that
+    ``avgcut cluster`` is built for: heights in hundredths, each merge 0.01
+    to 1.00 above the one before, except that one merge in five repeats the
+    previous height, so zero gaps and tied heights occur. The clusters joined
+    at each merge are drawn uniformly from the active ones."""
+    active = list(range(items))
+    size = [1] * items
+    rows = ["left,right,height,size"]
+    cents = 0
+    for m in range(items - 1):
+        if rng.random() >= 0.2:
+            cents += rng.randint(1, 100)
+        pair = []
+        for _ in range(2):
+            j = rng.randrange(len(active))
+            active[j], active[-1] = active[-1], active[j]
+            pair.append(active.pop())
+        left, right = pair
+        size.append(size[left] + size[right])
+        active.append(items + m)
+        rows.append(f"{left},{right},{cents // 100}.{cents % 100:02d},{size[-1]}")
+    return "\n".join(rows) + "\n"

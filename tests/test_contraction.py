@@ -15,7 +15,9 @@ from avgcut import (
     edge_contractibility,
     evaluate_cut,
     is_valid_cut,
+    linkage_to_tree,
     optimal_average_cut,
+    parse_linkage_csv,
     run_contraction,
 )
 from avgcut.errors import DeadEdgeError, EmptyCutError, LeafHeadError
@@ -28,6 +30,7 @@ from .helpers import (
     prime_denominator_perf_tree,
     prime_denominator_tree,
     quiet_tree,
+    random_linkage_csv,
     random_tree,
     star_tree,
 )
@@ -489,6 +492,16 @@ class TestAgainstFractionReference:
         assert len({w.denominator for w in t.weights}) == 1500  # 1499 primes and the root's 1
         self._check(t)
 
+    @pytest.mark.parametrize("scheme", ["gap", "height"])
+    def test_dendrograms_with_decimal_heights(self, scheme):
+        # Almost every weight has a denominator dividing 100, so merges meet
+        # unequal denominators and cancel factors at most steps.
+        rng = random.Random(7)
+        for items in (50, 120, 300, 1000):
+            t = linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, items)), scheme)
+            assert sum(d != 1 for d in t.wden) > t.node_count // 2
+            self._check(t)
+
     def test_queries_after_every_contract(self):
         """Contract every internal edge, in random order, through the public
         ``contract``; after each call every query equals the model's."""
@@ -497,6 +510,13 @@ class TestAgainstFractionReference:
         trees += [_mostly_integer_weights(rng, random_tree(rng)) for _ in range(30)]
         trees += [_with_huge_weights(rng, random_tree(rng)) for _ in range(10)]
         trees += [prime_denominator_tree(rng, n_nodes=40) for _ in range(10)]
+        trees += [
+            linkage_to_tree(
+                parse_linkage_csv(random_linkage_csv(rng, rng.randint(2, 60))),
+                rng.choice(("gap", "height")),
+            )
+            for _ in range(10)
+        ]
         for t in trees:
             for objective in Objective:
                 state = ContractionState(t, objective)
