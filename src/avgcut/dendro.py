@@ -116,7 +116,7 @@ class Partition:
 
 def _label_key(label: str):
     # Numeric labels sort numerically, everything else lexically after them.
-    return (0, int(label), "") if label.isdigit() else (1, 0, label)
+    return (0, int(label), "") if label.isdecimal() else (1, 0, label)
 
 
 def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:

@@ -17,8 +17,10 @@ from avgcut import (
     from_edges,
     linkage_to_tree,
     optimal_average_cut,
+    parse_edgelist,
     parse_linkage_csv,
 )
+from avgcut.dendro import _label_key
 from avgcut.errors import (
     InvalidCutError,
     LinkageError,
@@ -254,6 +256,14 @@ class TestCommunities:
         part = communities_from_cut(t, cut)
         firsts = [min(int(m) for m in c) for c in part]
         assert firsts == sorted(firsts)
+
+    def test_digit_labels_that_int_rejects_sort_lexically(self):
+        # "²".isdigit() is true, but int("²") raises: such labels sort as
+        # text, after every numeric label.
+        t = parse_edgelist("r a 1\nr b 1\na \u00b2 1\na x 1\nb 10 1\nb 9 1\n")
+        part = communities_from_cut(t, {t.node_id("a"), t.node_id("b")})
+        assert part.communities == (frozenset({"9", "10"}), frozenset({"\u00b2", "x"}))
+        assert sorted(["x", "\u00b2", "10", "9"], key=_label_key) == ["9", "10", "x", "\u00b2"]
 
 
 class TestCluster:
