@@ -7,6 +7,7 @@ to stderr. Exit codes: 0 success, 1 input error, 2 enumeration limit hit.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 import time
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import Objective, optimal_average_cut, run_contraction
-from .dendro import _label_key, communities_from_cut, linkage_to_tree, parse_linkage_csv
+from .dendro import communities_from_cut, linkage_to_tree, parse_linkage_csv
 from .errors import AvgCutError, TooManyCutsError
 from .io import edge_rows, parse_edgelist, parse_newick
 from .oracle import DEFAULT_CUT_LIMIT, brute_force_optimum, count_cuts
@@ -142,8 +143,10 @@ def _cmd_count(args) -> int:
 def _cmd_cluster(args) -> int:
     text, digest = _read(args.linkage)
     table = parse_linkage_csv(text)
+    del text
     started = time.perf_counter()
     tree = linkage_to_tree(table, args.scheme)
+    del table  # the tree holds everything the report needs
     result = optimal_average_cut(tree, Objective(args.objective))
     partition = communities_from_cut(tree, result.cut)
     elapsed = time.perf_counter() - started
@@ -156,9 +159,8 @@ def _cmd_cluster(args) -> int:
         cut=edge_rows(tree, sorted(result.cut)),
         contraction_count=len(result.contractions),
         scheme=args.scheme,
-        communities=tuple(
-            tuple(sorted(members, key=_label_key)) for members in partition
-        ),
+        # linkage_to_tree labels each item by its index.
+        communities=tuple(tuple(sorted(members, key=int)) for members in partition),
         elapsed_s=elapsed,
     )
     print("\n".join(report.to_lines()))
@@ -200,19 +202,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    # The cyclic collector is paused for the one command: a run drops what it
+    # builds only at its end, so collections would find no cycles and only
+    # cost time. Reference counting still frees whatever the command drops.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        return args.handler(args)
-    except TooManyCutsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (AvgCutError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
+        try:
+            return args.handler(args)
+        except TooManyCutsError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except (AvgCutError, OSError, UnicodeDecodeError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -243,18 +243,18 @@ class ContractionState:
         # each supernode (whose in-edge is the supernode's).
         parent = list(tree.parent)
         parent[root] = root  # any valid index: the root's weight slot is 0
-        dens = [1] * n
+        dens = list(wd)
         for v in compress(range(n), map((1).__ne__, wd)):
-            d, p = wd[v], parent[v]
-            dens[p] = lcm(dens[p], d)
-            dens[v] = lcm(dens[v], d)
+            p = parent[v]
+            dens[p] = lcm(dens[p], wd[v])
         # Each weight as a numerator over its tail's _den, summed per tail.
         tail_dens = map(dens.__getitem__, parent)
         scaled_at = list(map(mul, wn, map(floordiv, tail_dens, wd))).__getitem__
         self._num = [sum(map(scaled_at, kids)) for kids in tree.children]
         self._den = dens
         self._cnt = [len(kids) for kids in tree.children]
-        self._top = list(range(n))
+        self._top = self._uf[:]
+        self._rr = root  # representative of the root's supernode
 
         self._alive = bytearray(b"\x01") * n
         self._alive[root] = 0  # the root has no in-edge
@@ -290,13 +290,6 @@ class ContractionState:
             x = uf[x]
         return x
 
-    def _union(self, a: int, b: int) -> int:
-        if self._uf_size[a] < self._uf_size[b]:
-            a, b = b, a
-        self._uf[b] = a
-        self._uf_size[a] += self._uf_size[b]
-        return a
-
     # --- exact aggregates ------------------------------------------------ #
 
     def _lam(self, e: EdgeId, r: NodeId) -> tuple[int, int]:
@@ -319,31 +312,6 @@ class ContractionState:
         if num > 0 or (num == 0 and not self._maximize):
             return POSITIVE_INFINITY
         return NEGATIVE_INFINITY
-
-    # --- priority queue -------------------------------------------------- #
-
-    def _push(self, e: EdgeId) -> None:
-        gen = self._gen[e] = self._gen[e] + 1  # invalidates every queued entry for e
-        num, den = self._lam(e, self._find(e))
-        key, tie = _heap_key(self._sign * num, den)
-        heapq.heappush(self._heap, (key, tie, e, gen))
-
-    def _pop_live_best(self):
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            e = entry[2]
-            if self._alive[e] and entry[3] == self._gen[e]:
-                return entry
-        return None
-
-    def _beats_root_average(self, key: float, tie: _ExactRatio | None) -> bool:
-        """True when the oriented value of a heap key is strictly below the
-        oriented root average; of the infinities only ``-inf`` is."""
-        if tie is None:
-            return key < 0
-        rr = self._find(self.tree.root)
-        return tie.num * (self._den[rr] * self._cnt[rr]) < self._sign * self._num[rr] * tie.den
 
     # --- queries ---------------------------------------------------------- #
 
@@ -370,7 +338,7 @@ class ContractionState:
 
     @property
     def root_average(self) -> Fraction:
-        rr = self._find(self.tree.root)
+        rr = self._rr
         return Fraction(self._num[rr], self._den[rr] * self._cnt[rr])
 
     @property
@@ -444,25 +412,38 @@ class ContractionState:
         self._merge(e)
 
     def _merge(self, e: EdgeId) -> None:
-        """:meth:`contract` for an edge known to be live and internal."""
-        tree = self.tree
-        ru = self._find(tree.parent[e])  # type: ignore[arg-type]
-        rv = self._find(e)
-        lam_num, lam_den = self._lam(e, rv)
+        """:meth:`contract` for an edge known to be live and internal.
+
+        The finds, ``_lam`` and the requeue are written out on local names:
+        :meth:`run` calls this once per contraction.
+        """
+        uf, nums, dens, cnts = self._uf, self._num, self._den, self._cnt
+        wn, wd = self._wn, self._wd
+        ru = self.tree.parent[e]
+        while uf[ru] != ru:
+            uf[ru] = uf[uf[ru]]
+            ru = uf[ru]
+        rv = e
+        while uf[rv] != rv:
+            uf[rv] = uf[uf[rv]]
+            rv = uf[rv]
+        # _lam(e, rv)
+        den_v = dens[rv]
+        q = wd[e]
+        lam_num = nums[rv] - (wn[e] if q == den_v else wn[e] * (den_v // q))
+        lam_den = den_v * (cnts[rv] - 1)
 
         # The merged total is out_sum(ru) - weight(e) + out_sum(rv), which is
         # out_sum(ru) + lam_num / _den[rv], over lcm(_den[ru], _den[rv]).
-        num, den = self._num[ru], self._den[ru]
-        den_v = self._den[rv]
+        num, den = nums[ru], dens[ru]
         if den == den_v:
             num += lam_num
         else:
             g = gcd(den, den_v)
             num = num * (den_v // g) + lam_num * (den // g)
             den = den // g * den_v
-        cnt = self._cnt[ru] + self._cnt[rv] - 1
+        cnt = cnts[ru] + cnts[rv] - 1
         top = self._top[ru]
-        q = self._wd[e]
         if q != 1:
             # weight(e) left the total: cancel what its denominator shares
             # with the numerator, but keep the in-edge's denominator (top's)
@@ -471,40 +452,62 @@ class ContractionState:
             # weights have left its total.
             g = gcd(num, q)
             if g != 1:
-                g = gcd(g, den // self._wd[top])
+                g = gcd(g, den // wd[top])
                 num //= g
                 den //= g
         self._alive[e] = 0
-        rm = self._union(ru, rv)
-        self._num[rm] = num
-        self._den[rm] = den
-        self._cnt[rm] = cnt
+        # Union by size; the merged supernode keeps ru's topmost node.
+        sizes = self._uf_size
+        rm, rl = (rv, ru) if sizes[ru] < sizes[rv] else (ru, rv)
+        uf[rl] = rm
+        sizes[rm] += sizes[rl]
+        nums[rm] = num
+        dens[rm] = den
+        cnts[rm] = cnt
         self._top[rm] = top
 
-        merged_root = top == tree.root
-        if not merged_root:
-            # The merged supernode's in-edge is named by its topmost node.
-            self._push(top)
+        merged_root = top == self.tree.root
+        if merged_root:
+            self._rr = rr = rm
+        else:
+            # The merged supernode's in-edge is named by its topmost node;
+            # a new generation invalidates every queued entry for it.
+            gen = self._gen[top] = self._gen[top] + 1
+            q = wd[top]
+            key, tie = _heap_key(
+                self._sign * (num - (wn[top] if q == den else wn[top] * (den // q))),
+                den * (cnt - 1),
+            )
+            heapq.heappush(self._heap, (key, tie, top, gen))
+            rr = self._rr
         self.contractions.append(e)
-        rr = self._find(tree.root)
-        self._steps.append(
-            (e, lam_num, lam_den, self._num[rr], self._den[rr], self._cnt[rr], merged_root)
-        )
+        self._steps.append((e, lam_num, lam_den, nums[rr], dens[rr], cnts[rr], merged_root))
 
     def run(self) -> None:
         """Contract best-first until no live edge strictly beats the root average."""
-        while True:
-            entry = self._pop_live_best()
-            if entry is None:
+        heap, alive, gen = self._heap, self._alive, self._gen
+        nums, dens, cnts = self._num, self._den, self._cnt
+        sign, merge, heappop = self._sign, self._merge, heapq.heappop
+        while heap:
+            entry = heappop(heap)
+            e = entry[2]
+            if not alive[e] or entry[3] != gen[e]:
+                continue  # stale: contracted, or requeued since
+            # Stop unless the oriented value is strictly below the oriented
+            # root average; of the infinities only -inf is.
+            tie = entry[1]
+            if tie is None:
+                beats = entry[0] < 0
+            else:
+                rr = self._rr
+                beats = tie.num * (dens[rr] * cnts[rr]) < sign * nums[rr] * tie.den
+            if not beats:
+                heapq.heappush(heap, entry)  # keep the queue complete
                 return
-            key, tie, edge, _ = entry
-            if not self._beats_root_average(key, tie):
-                heapq.heappush(self._heap, entry)  # keep the queue complete
-                return
-            self._merge(edge)  # queued edges are live and internal
+            merge(e)  # queued edges are live and internal
 
     def result(self) -> CutResult:
-        rr = self._find(self.tree.root)
+        rr = self._rr
         total_num, total_den = self._num[rr], self._den[rr]
         size = self._cnt[rr]
         return CutResult(

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .oracle import is_valid_cut
-from .rational import echo, exact_str, parse_rational
+from .rational import echo, exact_str, parse_digits, parse_rational
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -159,9 +159,13 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
             else:
                 c = cluster_node[side - n]
                 cn, cd = cluster_num[side - n], cluster_den[side - n]
-                gn, gd = hn * cd - cn * hd, hd * cd
-                g = gcd(gn, gd)
-                gn, gd = gn // g, gd // g
+                if cd == hd:
+                    gn, gd = hn - cn, hd
+                else:
+                    gn, gd = hn * cd - cn * hd, hd * cd
+                if gd != 1:
+                    g = gcd(gn, gd)
+                    gn, gd = gn // g, gd // g
             if gn < 0:
                 raise NegativeGapError(
                     f"merge {k} at height {exact_str(table.merges[k].height)} is below "
@@ -196,10 +200,19 @@ def communities_from_cut(t: RootedTree, cut) -> Partition:
     edges = set(cut)
     if not is_valid_cut(t, edges):
         raise InvalidCutError("not a root-separating boundary cut")
-    groups = [
-        frozenset(t.labels[v] for v in t.subtree_leaves(e)) for e in sorted(edges)
-    ]
-    groups.sort(key=lambda group: min(_label_key(member) for member in group))
+    children, labels = t.children, t.labels
+    groups = []
+    for e in sorted(edges):
+        members = []
+        stack = [e]
+        while stack:
+            v = stack.pop()
+            if children[v]:
+                stack.extend(children[v])
+            else:
+                members.append(labels[v])
+        groups.append(frozenset(members))
+    groups.sort(key=lambda group: min(map(_label_key, group)))
     return Partition(tuple(groups))
 
 
@@ -233,6 +246,7 @@ def parse_linkage_csv(text: str) -> LinkageTable:
             line=header_line,
         )
     merges = []
+    make_merge = Merge._make
     for lineno, row in rows[1:]:
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
@@ -251,11 +265,16 @@ def parse_linkage_csv(text: str) -> LinkageTable:
         except ValueError:
             raise ParseError("left, right, and size must be integers", line=lineno) from None
         height_text = height_text.strip()
+        # Plain digits.digits heights, the common case, skip the general path.
+        whole, _, frac = height_text.partition(".")
         try:
-            height = parse_rational(height_text)
+            if whole.isdigit() and frac.isdigit() and height_text.isascii():
+                height = Fraction(parse_digits(whole + frac), 10 ** len(frac))
+            else:
+                height = parse_rational(height_text)
         except MalformedWeightError:
             raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
-        merges.append(Merge(left, right, height, size))
+        merges.append(make_merge((left, right, height, size)))
     return LinkageTable(n_items=len(merges) + 1, merges=tuple(merges))
 
 

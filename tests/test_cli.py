@@ -1,12 +1,30 @@
+import argparse
+import contextlib
 import decimal
+import gc
+import io
 import math
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import avgcut.cli
+from avgcut import (
+    Objective,
+    communities_from_cut,
+    linkage_to_tree,
+    optimal_average_cut,
+    parse_linkage_csv,
+)
 from avgcut.cli import run_cli
+from avgcut.dendro import _label_key
 
-from .helpers import figure_edge_rows
+from .helpers import figure_edge_rows, random_linkage_csv
 
 
 def run(capsys, *argv):
@@ -278,3 +296,93 @@ class TestArgumentErrors:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestCommunityOrder:
+    """The CLI sorts each community's members with ``key=int``, which is
+    ``_label_key``'s order only because ``linkage_to_tree`` labels every item
+    by its index."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 150),
+        st.sampled_from(["gap", "height"]),
+        st.sampled_from(list(Objective)),
+    )
+    def test_community_lines_match_the_partition(self, seed, items, scheme, objective):
+        text = random_linkage_csv(random.Random(seed), items)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "linkage.csv"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = run_cli([
+                    "cluster", "--linkage", str(path),
+                    "--scheme", scheme, "--objective", objective.value,
+                ])
+        assert code == 0
+        tree = linkage_to_tree(parse_linkage_csv(text), scheme)
+        partition = communities_from_cut(tree, optimal_average_cut(tree, objective).cut)
+        expected = [" ".join(sorted(members, key=_label_key)) for members in partition]
+        assert parse_report(out.getvalue())["community"] == expected
+
+
+@pytest.fixture
+def collector_on():
+    """Run the test with the cyclic collector on, and leave it as found."""
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_on:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    """``run_cli`` pauses the cyclic collector for its one command and hands
+    it back as it found it, whatever the exit."""
+
+    def test_cut_and_cluster(self, capsys, figure_file, linkage_file):
+        assert run(capsys, "cut", "--input", str(figure_file))[0] == 0
+        assert gc.isenabled()
+        assert run(capsys, "cluster", "--linkage", str(linkage_file))[0] == 0
+        assert gc.isenabled()
+
+    def test_malformed_input(self, capsys, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("a b -1\n")
+        assert run(capsys, "cut", "--input", str(path))[0] == 1
+        assert gc.isenabled()
+
+    def test_oracle_limit(self, capsys, figure_file):
+        assert run(capsys, "oracle", "--input", str(figure_file), "--limit", "1")[0] == 2
+        assert gc.isenabled()
+
+    def test_argument_error(self, capsys):
+        assert run(capsys, "cut")[0] == 1
+        assert gc.isenabled()
+
+    def test_stays_off_when_called_with_it_off(self, capsys, figure_file):
+        gc.disable()
+        assert run(capsys, "cut", "--input", str(figure_file))[0] == 0
+        assert not gc.isenabled()
+
+    def test_off_inside_the_handler(self, capsys, monkeypatch):
+        seen = []
+
+        def recording_parser():
+            parser = argparse.ArgumentParser()
+            parser.set_defaults(handler=lambda args: seen.append(gc.isenabled()) or 0)
+            return parser
+
+        monkeypatch.setattr(avgcut.cli, "_build_parser", recording_parser)
+        assert run(capsys)[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_library_entry_points_leave_it_alone(self, figure_tree):
+        optimal_average_cut(figure_tree)
+        assert gc.isenabled()
+        gc.disable()
+        optimal_average_cut(figure_tree)
+        assert not gc.isenabled()
