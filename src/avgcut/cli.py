@@ -159,8 +159,7 @@ def _cmd_cluster(args) -> int:
         cut=edge_rows(tree, sorted(result.cut)),
         contraction_count=len(result.contractions),
         scheme=args.scheme,
-        # linkage_to_tree labels each item by its index.
-        communities=tuple(tuple(sorted(members, key=int)) for members in partition),
+        communities=partition.ordered(),
         elapsed_s=elapsed,
     )
     print("\n".join(report.to_lines()))

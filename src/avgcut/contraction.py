@@ -412,30 +412,16 @@ class ContractionState:
         self._merge(e)
 
     def _merge(self, e: EdgeId) -> None:
-        """:meth:`contract` for an edge known to be live and internal.
-
-        The finds, ``_lam`` and the requeue are written out on local names:
-        :meth:`run` calls this once per contraction.
-        """
-        uf, nums, dens, cnts = self._uf, self._num, self._den, self._cnt
-        wn, wd = self._wn, self._wd
-        ru = self.tree.parent[e]
-        while uf[ru] != ru:
-            uf[ru] = uf[uf[ru]]
-            ru = uf[ru]
-        rv = e
-        while uf[rv] != rv:
-            uf[rv] = uf[uf[rv]]
-            rv = uf[rv]
-        # _lam(e, rv)
-        den_v = dens[rv]
-        q = wd[e]
-        lam_num = nums[rv] - (wn[e] if q == den_v else wn[e] * (den_v // q))
-        lam_den = den_v * (cnts[rv] - 1)
+        """:meth:`contract` for an edge known to be live and internal."""
+        nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
+        ru = self._find(self.tree.parent[e])  # type: ignore[arg-type]
+        rv = self._find(e)
+        lam_num, lam_den = self._lam(e, rv)
 
         # The merged total is out_sum(ru) - weight(e) + out_sum(rv), which is
         # out_sum(ru) + lam_num / _den[rv], over lcm(_den[ru], _den[rv]).
         num, den = nums[ru], dens[ru]
+        den_v = dens[rv]
         if den == den_v:
             num += lam_num
         else:
@@ -444,6 +430,7 @@ class ContractionState:
             den = den // g * den_v
         cnt = cnts[ru] + cnts[rv] - 1
         top = self._top[ru]
+        q = wd[e]
         if q != 1:
             # weight(e) left the total: cancel what its denominator shares
             # with the numerator, but keep the in-edge's denominator (top's)
@@ -459,7 +446,7 @@ class ContractionState:
         # Union by size; the merged supernode keeps ru's topmost node.
         sizes = self._uf_size
         rm, rl = (rv, ru) if sizes[ru] < sizes[rv] else (ru, rv)
-        uf[rl] = rm
+        self._uf[rl] = rm
         sizes[rm] += sizes[rl]
         nums[rm] = num
         dens[rm] = den
@@ -473,11 +460,8 @@ class ContractionState:
             # The merged supernode's in-edge is named by its topmost node;
             # a new generation invalidates every queued entry for it.
             gen = self._gen[top] = self._gen[top] + 1
-            q = wd[top]
-            key, tie = _heap_key(
-                self._sign * (num - (wn[top] if q == den else wn[top] * (den // q))),
-                den * (cnt - 1),
-            )
+            top_num, top_den = self._lam(top, rm)
+            key, tie = _heap_key(self._sign * top_num, top_den)
             heapq.heappush(self._heap, (key, tie, top, gen))
             rr = self._rr
         self.contractions.append(e)

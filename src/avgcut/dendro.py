@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .oracle import is_valid_cut
-from .rational import echo, exact_str, parse_digits, parse_rational
+from .rational import echo, exact_str, parse_rational
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -113,10 +113,20 @@ class Partition:
     def as_sets(self) -> list[set[str]]:
         return [set(c) for c in self.communities]
 
+    def ordered(self) -> tuple[tuple[str, ...], ...]:
+        """Each community's members, numeric labels numerically and first."""
+        return tuple(tuple(sorted(c, key=_label_order(c))) for c in self.communities)
+
 
 def _label_key(label: str):
     # Numeric labels sort numerically, everything else lexically after them.
     return (0, int(label), "") if label.isdecimal() else (1, 0, label)
+
+
+def _label_order(labels):
+    """A sort key that orders ``labels`` as :func:`_label_key` does: ``int``
+    when every label is decimal, as every linkage item's is."""
+    return int if all(map(str.isdecimal, labels)) else _label_key
 
 
 def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
@@ -200,19 +210,9 @@ def communities_from_cut(t: RootedTree, cut) -> Partition:
     edges = set(cut)
     if not is_valid_cut(t, edges):
         raise InvalidCutError("not a root-separating boundary cut")
-    children, labels = t.children, t.labels
-    groups = []
-    for e in sorted(edges):
-        members = []
-        stack = [e]
-        while stack:
-            v = stack.pop()
-            if children[v]:
-                stack.extend(children[v])
-            else:
-                members.append(labels[v])
-        groups.append(frozenset(members))
-    groups.sort(key=lambda group: min(map(_label_key, group)))
+    label_of = t.labels.__getitem__
+    groups = [frozenset(map(label_of, t.subtree_leaves(e))) for e in sorted(edges)]
+    groups.sort(key=lambda group: _label_key(min(group, key=_label_order(group))))
     return Partition(tuple(groups))
 
 
@@ -246,7 +246,6 @@ def parse_linkage_csv(text: str) -> LinkageTable:
             line=header_line,
         )
     merges = []
-    make_merge = Merge._make
     for lineno, row in rows[1:]:
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
@@ -265,16 +264,11 @@ def parse_linkage_csv(text: str) -> LinkageTable:
         except ValueError:
             raise ParseError("left, right, and size must be integers", line=lineno) from None
         height_text = height_text.strip()
-        # Plain digits.digits heights, the common case, skip the general path.
-        whole, _, frac = height_text.partition(".")
         try:
-            if whole.isdigit() and frac.isdigit() and height_text.isascii():
-                height = Fraction(parse_digits(whole + frac), 10 ** len(frac))
-            else:
-                height = parse_rational(height_text)
+            height = parse_rational(height_text)
         except MalformedWeightError:
             raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
-        merges.append(make_merge((left, right, height, size)))
+        merges.append(Merge(left, right, height, size))
     return LinkageTable(n_items=len(merges) + 1, merges=tuple(merges))
 
 

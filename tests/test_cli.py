@@ -299,9 +299,9 @@ class TestArgumentErrors:
 
 
 class TestCommunityOrder:
-    """The CLI sorts each community's members with ``key=int``, which is
-    ``_label_key``'s order only because ``linkage_to_tree`` labels every item
-    by its index."""
+    """The CLI prints each community's members in ``_label_key`` order,
+    through ``Partition.ordered`` and its ``int`` shortcut for the decimal
+    labels that ``linkage_to_tree`` gives every item."""
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -20,7 +20,7 @@ from avgcut import (
     parse_edgelist,
     parse_linkage_csv,
 )
-from avgcut.dendro import _label_key
+from avgcut.dendro import Partition, _label_key, _label_order
 from avgcut.errors import (
     InvalidCutError,
     LinkageError,
@@ -264,6 +264,25 @@ class TestCommunities:
         part = communities_from_cut(t, {t.node_id("a"), t.node_id("b")})
         assert part.communities == (frozenset({"9", "10"}), frozenset({"\u00b2", "x"}))
         assert sorted(["x", "\u00b2", "10", "9"], key=_label_key) == ["9", "10", "x", "\u00b2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(
+                st.sampled_from(["0", "1", "01", "2", "10", "007", "\u0663", "\u00b2", "x", "a1"])
+                | st.text("0123456789", min_size=1, max_size=4),
+                min_size=1,
+            ),
+            max_size=5,
+        )
+    )
+    def test_label_order_agrees_with_label_key(self, groups):
+        # The int shortcut for all-decimal labels, ties such as "1" and "01"
+        # included, must order members and pick minima as _label_key does.
+        part = Partition(tuple(groups))
+        assert part.ordered() == tuple(tuple(sorted(g, key=_label_key)) for g in groups)
+        for g in groups:
+            assert _label_key(min(g, key=_label_order(g))) == min(map(_label_key, g))
 
 
 class TestCluster:
