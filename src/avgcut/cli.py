@@ -122,7 +122,7 @@ def _cmd_oracle(args) -> int:
         total=result.total,
         size=result.size,
         cut=edge_rows(tree, sorted(result.cut)),
-        cut_count=count_cuts(tree),
+        cut_count=result.cut_count,
         elapsed_s=elapsed,
     )
     print("\n".join(report.to_lines()))

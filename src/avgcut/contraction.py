@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -161,13 +161,19 @@ class ContractionStep(NamedTuple):
 
 @dataclass(frozen=True)
 class CutResult:
-    """An optimal cut reported in original edge ids, with exact statistics."""
+    """An optimal cut reported in original edge ids, with exact statistics.
+
+    ``cut_count`` is the number of cuts the brute-force oracle evaluated;
+    the contraction engine evaluates none one by one and leaves it None.
+    It takes no part in equality.
+    """
 
     cut: frozenset[EdgeId]
     total: Fraction
     size: int
     average: Fraction
     contractions: tuple[EdgeId, ...]
+    cut_count: int | None = field(default=None, compare=False)
 
 
 class _ExactRatio:

@@ -9,13 +9,25 @@ boundary with extra edges still disconnects but can inflate the average,
 so "all cuts" here means exactly the boundaries.
 
 The enumeration changes only ints per step and rebuilds a cut's edge set
-only when a caller needs it (see ``_walk``). Everything else here favors
-being obviously correct over being fast; the module exists to check the
-contraction engine, not to replace it.
+only when a caller needs it (see ``_walk``). ``brute_force_optimum`` splits
+the cut space into disjoint sub-spaces, each a fixed prefix of the walk's
+decisions whose size is known exactly from the per-node cut counts, and
+walks them on every CPU the process may use: one forked child per extra
+CPU, each sending back its best cut. It forks only where ``os.fork``
+exists, no other thread runs, and every process gets at least
+``_FORK_MIN_CUTS`` cuts; otherwise the same walker takes every sub-space in
+this process. The tie-break makes the answer independent of the split.
+Everything else here favors being obviously correct over being fast; the
+module exists to check the contraction engine, not to replace it.
 """
 
 from __future__ import annotations
 
+import heapq
+import marshal
+import os
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -57,6 +69,12 @@ def count_cuts(t: RootedTree) -> int:
     c(leaf) = 0 and c(v) = prod over children x of (1 + c(x)): each child
     edge is either kept in the cut or replaced by a cut of its subtree.
     """
+    return _node_counts(t)[t.root]
+
+
+def _node_counts(t: RootedTree) -> list[int]:
+    """``c(v)`` of ``count_cuts`` for every node, in one pass; the limit
+    check, the split into sub-spaces and the reported count all read it."""
     order: list[NodeId] = [t.root]
     for v in order:
         order.extend(t.children[v])
@@ -68,23 +86,24 @@ def count_cuts(t: RootedTree) -> int:
             for x in kids:
                 prod *= 1 + c[x]
             c[v] = prod
-    return c[t.root]
+    return c
 
 
 class _Prep:
-    """Shared precomputation for the cut enumeration. ``w``, ``leaf_sum``
-    and ``leaf_count`` are indexed by position in ``order``: a node's scaled
-    weight, and the scaled total and number of its leaf out-edges; ``base``
-    holds the root's total and number."""
+    """Shared precomputation for the cut enumeration. ``w``, ``leaf_sum``,
+    ``leaf_count`` and ``leaf_edges`` are indexed by position in ``order``:
+    a node's scaled weight, and the scaled total, number and ids of its leaf
+    out-edges; ``base`` holds the root's total and number, and
+    ``root_leaves`` its leaf out-edges."""
 
-    __slots__ = ("scale", "root", "leaf_edges", "order", "skip_to", "w",
+    __slots__ = ("scale", "root", "root_leaves", "leaf_edges", "order", "skip_to", "w",
                  "leaf_sum", "leaf_count", "base")
 
     def __init__(self, t: RootedTree):
         n = t.node_count
         self.scale, w = t.scaled_weights
         self.root = t.root
-        self.leaf_edges = [
+        leaf_edges = [
             [c for c in t.children[v] if not t.children[c]] for v in range(n)
         ]
 
@@ -105,10 +124,12 @@ class _Prep:
         self.order = order
         self.skip_to = [p + isize[v] for p, v in enumerate(order)]
         self.w = [w[v] for v in order]
-        leaf_sum = [sum(w[c] for c in cs) for cs in self.leaf_edges]
+        leaf_sum = [sum(w[c] for c in cs) for cs in leaf_edges]
         self.leaf_sum = [leaf_sum[v] for v in order]
-        self.leaf_count = [len(self.leaf_edges[v]) for v in order]
-        self.base = (leaf_sum[t.root], len(self.leaf_edges[t.root]))
+        self.leaf_edges = [leaf_edges[v] for v in order]
+        self.leaf_count = [len(cs) for cs in self.leaf_edges]
+        self.root_leaves = leaf_edges[t.root]
+        self.base = (leaf_sum[t.root], len(self.root_leaves))
 
 
 def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray, int, int]]:
@@ -160,19 +181,18 @@ def _rebuild(
 ) -> tuple[list[NodeId], list[EdgeId]]:
     """The internal subtree and the cut of one ``_walk`` state."""
     subtree = [prep.root]
-    cut = list(prep.leaf_edges[prep.root])
+    cut = list(prep.root_leaves)
     for p in positions:
         v = prep.order[p]
         if expanded[p]:
             subtree.append(v)
-            cut.extend(prep.leaf_edges[v])
+            cut.extend(prep.leaf_edges[p])
         else:
             cut.append(v)
     return subtree, cut
 
 
-def _check_limit(t: RootedTree, limit: int) -> None:
-    total = count_cuts(t)
+def _check_limit(total: int, limit: int) -> None:
     if total > limit:
         raise TooManyCutsError(f"{exact_str(total)} cuts exceed the limit of {limit}")
 
@@ -181,7 +201,7 @@ def enumerate_cuts(
     t: RootedTree, limit: int = DEFAULT_CUT_LIMIT
 ) -> Iterator[tuple[InternalSubtree, frozenset[EdgeId]]]:
     """Stream every root-separating boundary cut exactly once."""
-    _check_limit(t, limit)
+    _check_limit(count_cuts(t), limit)
 
     def gen():
         prep = _Prep(t)
@@ -232,31 +252,264 @@ def brute_force_optimum(
     """Evaluate every cut and return one attaining the optimal average.
 
     Ties go to the lexicographically smallest sorted edge-id list, so the
-    result is deterministic independent of enumeration order.
+    result is deterministic independent of enumeration order, and so of how
+    the cut space was split between processes. ``cut_count`` on the result
+    is the number of cuts evaluated.
     """
-    _check_limit(t, limit)
+    counts = _node_counts(t)
+    cuts = counts[t.root]
+    _check_limit(cuts, limit)
     prep = _Prep(t)
     maximize = objective is Objective.MAXIMIZE
-
-    # Only a cut that ties or beats the best so far is rebuilt; every valid
-    # tree has at least one cut, and the first one seeds the best.
-    walk = _walk(prep)
-    positions, expanded, best_total, best_size = next(walk)
-    best_ids = sorted(_rebuild(prep, positions, expanded)[1])
-    for positions, expanded, total, size in walk:
-        lhs, rhs = total * best_size, best_total * size
-        if lhs == rhs or (lhs > rhs) == maximize:
-            ids = sorted(_rebuild(prep, positions, expanded)[1])
-            if lhs != rhs or ids < best_ids:
-                best_ids, best_total, best_size = ids, total, size
-
+    shares = _split(prep, counts, _workers(cuts))
+    best_total, best_size, best_ids = _walk_shares(prep, shares, maximize)
     return CutResult(
         cut=frozenset(best_ids),
         total=Fraction(best_total, prep.scale),
         size=best_size,
         average=Fraction(best_total, best_size * prep.scale),
         contractions=(),
+        cut_count=cuts,
     )
+
+
+# Fewest cuts per process for which a forked child pays for itself; below
+# it, forking, reading the child's answer and reaping it cost more than
+# walking its share here.
+_FORK_MIN_CUTS = 10_000
+# Sub-spaces per process, so that the largest-first assignment can even out
+# their unequal sizes.
+_PARTS_PER_WORKER = 8
+
+
+def _workers(cuts: int) -> int:
+    """How many processes walk the cut space: one per CPU this process may
+    run on, but no more than give each ``_FORK_MIN_CUTS`` cuts. One where
+    ``fork`` is missing or another thread is running, since a forked child
+    would hold a copy of that thread's locks but not the thread."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cuts // _FORK_MIN_CUTS))
+
+
+def _split(prep: _Prep, counts: list[int], workers: int) -> list[list[bytes]]:
+    """Split the cut space into disjoint sub-spaces, ``workers`` shares of
+    them.
+
+    A sub-space is a prefix of ``_walk``'s decisions, one byte per decided
+    position, 0 for cut and 1 for expand. After a prefix that ends before
+    position ``q``, the positions from ``q`` on form a forest whose roots
+    are ``q``, ``skip_to[q]``, ``skip_to[skip_to[q]]``, ..., and each root
+    is cut or expanded independently, so the sub-space holds exactly the
+    product of ``1 + c(root)`` over them. Splitting at ``q`` gives the
+    prefix ``+ 0``, which continues at ``skip_to[q]``, and the prefix
+    ``+ 1``, which continues at ``q + 1``; the two partition the parent.
+    The largest sub-space is split until each process has several, and
+    they go out largest first, each to the least-loaded share. The first
+    share is the one the calling process walks.
+    """
+    skip_to = prep.skip_to
+    m = len(skip_to)
+    parts = [(-_subspace_cuts(prep, counts, 0), b"", 0)]
+    while workers > 1 and len(parts) < workers * _PARTS_PER_WORKER:
+        _neg, prefix, q = parts[0]
+        if q == m:
+            break  # the largest sub-space is a single cut
+        cut, expand = skip_to[q], q + 1
+        heapq.heapreplace(parts, (-_subspace_cuts(prep, counts, cut), prefix + b"\0", cut))
+        heapq.heappush(parts, (-_subspace_cuts(prep, counts, expand), prefix + b"\1", expand))
+    shares: list[list[bytes]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for neg, prefix, _q in sorted(parts):
+        k = loads.index(min(loads))
+        shares[k].append(prefix)
+        loads[k] -= neg
+    # A deep tree may split no more evenly than one cut per piece; a share
+    # too small to pay for its child goes to the first share, walked here.
+    for k in range(workers - 1, 0, -1):
+        if loads[k] < _FORK_MIN_CUTS:
+            shares[0].extend(shares.pop(k))
+    return shares
+
+
+def _subspace_cuts(prep: _Prep, counts: list[int], q: int) -> int:
+    """Cuts in a sub-space whose prefix ends before position ``q``."""
+    order, skip_to = prep.order, prep.skip_to
+    n = 1
+    while q < len(order):
+        n *= 1 + counts[order[q]]
+        q = skip_to[q]
+    return n
+
+
+def _walk_shares(
+    prep: _Prep, shares: list[list[bytes]], maximize: bool
+) -> tuple[int, int, list[EdgeId]]:
+    """The best ``(scaled total, size, sorted ids)`` over every share.
+
+    The first share is walked here and each other one in a forked child,
+    which sends its best back through a pipe as ``marshal`` bytes. A share
+    whose pipe or fork fails, or whose child does not exit 0, is walked
+    here too.
+    Every child is reaped before this returns or raises.
+    """
+    mine = list(shares[0])
+    children: list[tuple[int, int, list[bytes]]] = []  # (pid, read end, share)
+    bests = []
+    try:
+        for share in shares[1:]:
+            try:
+                r, w = os.pipe()
+            except OSError:
+                mine.extend(share)
+                continue
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                mine.extend(share)
+                continue
+            if pid == 0:
+                _child(prep, share, maximize, r, w)
+            children.append((pid, r, share))
+            os.close(w)
+        bests.append(_best(prep, mine, maximize))
+        while children:
+            pid, r, share = children[-1]
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            _pid, status = os.waitpid(pid, 0)
+            children.pop()
+            os.close(r)
+            if status == 0 and chunks:
+                bests.append(marshal.loads(b"".join(chunks)))
+            else:
+                bests.append(_best(prep, share, maximize))
+    finally:
+        # Only on an exception: stop and reap the children still running.
+        if children:
+            import signal
+
+            for pid, r, _share in children:
+                with suppress(OSError):
+                    os.close(r)
+                with suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(OSError):
+                    os.waitpid(pid, 0)
+
+    best = bests[0]
+    for total, size, ids in bests[1:]:
+        lhs, rhs = total * best[1], best[0] * size
+        better = ids < best[2] if lhs == rhs else (lhs > rhs) == maximize
+        if better:
+            best = (total, size, ids)
+    return best
+
+
+def _child(prep: _Prep, share: list[bytes], maximize: bool, r: int, w: int) -> None:
+    """Walk ``share`` in a forked child, write its best to ``w`` and leave
+    through ``os._exit``, so that nothing of the parent's runs here: no
+    ``finally`` above this frame, no exit handler, no buffered output."""
+    code = 1
+    try:
+        os.close(r)
+        data = memoryview(marshal.dumps(_best(prep, share, maximize)))
+        while data:
+            data = data[os.write(w, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _best(
+    prep: _Prep, prefixes: list[bytes], maximize: bool
+) -> tuple[int, int, list[EdgeId]]:
+    """The best ``(scaled total, size, sorted ids)`` over the cuts of the
+    sub-spaces ``prefixes`` (see ``_split``).
+
+    This is ``_walk`` written out, with the decided prefix replayed first
+    and never backtracked. Only a cut that ties or beats the best so far is
+    rebuilt. The cut is kept as one segment per stack entry, ``ends[i]``
+    being where entry ``i``'s segment ends; ``low`` is the lowest stack
+    index that changed since the last rebuild, so a rebuild costs the
+    entries that changed and the sort, not the depth of the stack.
+    """
+    order = prep.order
+    skip_to = prep.skip_to
+    w = prep.w
+    leaf_sum = prep.leaf_sum
+    leaf_count = prep.leaf_count
+    leaf_edges = prep.leaf_edges
+    m = len(skip_to)
+
+    # A best of average -1 (maximize) or +infinity (minimize): the first cut
+    # beats it, and nothing ties it, so its ids are never compared.
+    best_total, best_size = (-1, 1) if maximize else (1, 0)
+    best_ids: list[EdgeId] = []
+    for prefix in prefixes:
+        total, size = prep.base
+        cut = list(prep.root_leaves)
+        pos = 0
+        for expand in prefix:
+            if expand:
+                total += leaf_sum[pos]
+                size += leaf_count[pos]
+                cut.extend(leaf_edges[pos])
+                pos += 1
+            else:
+                total += w[pos]
+                size += 1
+                cut.append(order[pos])
+                pos = skip_to[pos]
+        floor = len(cut)
+        positions: list[int] = []
+        expanded = bytearray(m)
+        ends: list[int] = []
+        low = 0
+        while True:
+            while pos < m:
+                total += w[pos]
+                size += 1
+                positions.append(pos)
+                pos = skip_to[pos]
+
+            lhs, rhs = total * best_size, best_total * size
+            if lhs == rhs or (lhs > rhs) == maximize:
+                del cut[ends[low - 1] if low else floor:]
+                del ends[low:]
+                for p in positions[low:]:
+                    if expanded[p]:
+                        cut.extend(leaf_edges[p])
+                    else:
+                        cut.append(order[p])
+                    ends.append(len(cut))
+                low = len(positions)
+                ids = sorted(cut)
+                if lhs != rhs or ids < best_ids:
+                    best_ids, best_total, best_size = ids, total, size
+
+            while positions and expanded[positions[-1]]:
+                p = positions.pop()
+                expanded[p] = 0
+                total -= leaf_sum[p]
+                size -= leaf_count[p]
+            if not positions:
+                break
+            p = positions[-1]
+            expanded[p] = 1
+            total += leaf_sum[p] - w[p]
+            size += leaf_count[p] - 1
+            pos = p + 1
+            top = len(positions) - 1
+            if top < low:
+                low = top
+    return best_total, best_size, best_ids
 
 
 # --- executable replacement properties ------------------------------------- #

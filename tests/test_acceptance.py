@@ -208,12 +208,17 @@ def _perf_tree(n_edges: int, seed: int):
 def test_criterion_6_complexity_bound(capsys):
     optimal_average_cut(_perf_tree(500, seed=1))  # warm-up
 
+    # Best of three calls per size, so that one host stall is not read as
+    # the cost of the cut.
     timings = {}
     for n_edges in (10**3, 10**4, 10**5):
         t = _perf_tree(n_edges, seed=42)
-        started = time.perf_counter()
-        optimal_average_cut(t, Objective.MAXIMIZE)
-        timings[n_edges] = time.perf_counter() - started
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            optimal_average_cut(t, Objective.MAXIMIZE)
+            best = min(best, time.perf_counter() - started)
+        timings[n_edges] = best
 
     within_budget = (
         timings[10**3] < 0.05 and timings[10**4] < 0.5 and timings[10**5] < 5.0

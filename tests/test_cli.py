@@ -4,6 +4,7 @@ import decimal
 import gc
 import io
 import math
+import os
 import random
 import tempfile
 from fractions import Fraction
@@ -234,6 +235,27 @@ class TestOracleCommand:
         assert newick["cut_count"] == edgelist["cut_count"] == "729"
         assert newick["average"] == edgelist["average"] == "3"
         assert sorted(newick["cut"]) == sorted(edgelist["cut"])
+
+    def test_broom_report_is_the_same_on_one_process_and_several(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 17 spokes, each with two leaves: 2**17 cuts, enough to fork.
+        path = tmp_path / "broom.edges"
+        path.write_text(
+            "".join(f"r a{i} 1\na{i} b{i} 1\na{i} c{i} 1\n" for i in range(17))
+        )
+        reports = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus)
+            code, out, err = run(capsys, "oracle", "--input", str(path))
+            assert code == 0 and err == ""
+            reports.append([line for line in out.splitlines() if not line.startswith("elapsed_ms")])
+        assert reports[0] == reports[1]
+        report = parse_report(out)
+        assert report["cut_count"] == "131072"
+        assert report["average"] == "1"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_limit_exceeded_exit_code(self, capsys, figure_file):
         code, _, err = run(

@@ -1,4 +1,10 @@
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +12,7 @@ from hypothesis import strategies as st
 
 from avgcut import (
     Objective,
+    oracle,
     brute_force_optimum,
     check_contraction_keeps_optimum,
     check_pull_up_dichotomy,
@@ -315,3 +322,235 @@ class TestMatchesReference:
     @given(tie_heavy_trees())
     def test_enumerate_cuts_pairs_and_order(self, t):
         assert list(enumerate_cuts(t)) == enumerate_reference(t)
+
+
+def _replay(prep, prefix):
+    """The position the walk reaches after the decisions of ``prefix``."""
+    pos = 0
+    for expand in prefix:
+        pos = pos + 1 if expand else prep.skip_to[pos]
+    return pos
+
+
+def _follows(prep, prefix, subtree):
+    """Whether the cut of ``subtree`` makes the decisions of ``prefix``."""
+    pos = 0
+    for expand in prefix:
+        if (prep.order[pos] in subtree.nodes) != bool(expand):
+            return False
+        pos = pos + 1 if expand else prep.skip_to[pos]
+    return True
+
+
+def _best_of(t, prep, cuts, objective):
+    """(scaled total, size, sorted ids) of the best of ``cuts``, by the
+    oracle's rule: best average, then the smallest sorted id list."""
+    averages = {cut: evaluate_cut(t, cut)[2] for cut in cuts}
+    pick = max if objective is Objective.MAXIMIZE else min
+    best = pick(averages.values())
+    ids = min(sorted(cut) for cut, average in averages.items() if average == best)
+    total, size, _ = evaluate_cut(t, ids)
+    return total * prep.scale, size, ids
+
+
+class TestSubSpaces:
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_trees(), st.integers(min_value=2, max_value=5))
+    def test_sub_spaces_partition_the_cut_space(self, t, workers):
+        counts = oracle._node_counts(t)
+        prep = oracle._Prep(t)
+        with mock.patch.object(oracle, "_FORK_MIN_CUTS", 1):
+            shares = oracle._split(prep, counts, workers)
+        assert 1 <= len(shares) <= workers and all(shares)
+        prefixes = [prefix for share in shares for prefix in share]
+        sizes = [oracle._subspace_cuts(prep, counts, _replay(prep, p)) for p in prefixes]
+        assert sum(sizes) == count_cuts(t)
+
+        members = {prefix: [] for prefix in prefixes}
+        for subtree, cut in enumerate_cuts(t):
+            owners = [p for p in prefixes if _follows(prep, p, subtree)]
+            assert len(owners) == 1
+            members[owners[0]].append(cut)
+        for prefix, size in zip(prefixes, sizes):
+            assert len(members[prefix]) == size
+            for objective in Objective:
+                maximize = objective is Objective.MAXIMIZE
+                assert oracle._best(prep, [prefix], maximize) == _best_of(
+                    t, prep, members[prefix], objective
+                )
+
+    def test_one_worker_walks_the_whole_space(self, figure_tree):
+        prep = oracle._Prep(figure_tree)
+        assert oracle._split(prep, oracle._node_counts(figure_tree), 1) == [[b""]]
+
+    def test_shares_are_balanced_on_a_bushy_tree(self, figure_tree):
+        counts = oracle._node_counts(figure_tree)
+        prep = oracle._Prep(figure_tree)
+        with mock.patch.object(oracle, "_FORK_MIN_CUTS", 1):
+            shares = oracle._split(prep, counts, 2)
+        loads = [
+            sum(oracle._subspace_cuts(prep, counts, _replay(prep, p)) for p in share)
+            for share in shares
+        ]
+        assert sum(loads) == 729 and max(loads) <= 729 * 0.6
+
+    def test_a_path_is_not_shared_out(self):
+        # Every split of a path peels off one cut, so no other share
+        # reaches the crossover and the whole walk stays here.
+        t = path_tree(*([1] * 30_000))
+        prep = oracle._Prep(t)
+        shares = oracle._split(prep, oracle._node_counts(t), 2)
+        assert len(shares) == 1 and len(shares[0]) == 16
+
+
+@contextmanager
+def _forced_workers(cpus: int = 3):
+    """Let the oracle see ``cpus`` CPUs and fork from the first cut up."""
+    with mock.patch.object(os, "sched_getaffinity", lambda _pid: set(range(cpus))):
+        with mock.patch.object(oracle, "_FORK_MIN_CUTS", 1):
+            yield
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("the oracle forked")
+
+
+class TestParallelWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_trees(), st.sampled_from(list(Objective)))
+    def test_matches_reference_with_forced_workers(self, t, objective):
+        with _forced_workers():
+            result = brute_force_optimum(t, objective)
+        assert result == brute_force_reference(t, objective)
+        _assert_no_children()
+
+    def test_forks_one_child_per_extra_cpu(self, figure_tree):
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        with _forced_workers(3), mock.patch.object(os, "fork", counting_fork):
+            for objective in Objective:
+                result = brute_force_optimum(figure_tree, objective)
+                assert result == brute_force_reference(figure_tree, objective)
+        assert len(forks) == 4
+        _assert_no_children()
+
+    def test_no_fork_below_the_crossover(self, figure_tree):
+        with mock.patch.object(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}):
+            with mock.patch.object(os, "fork", _no_fork):
+                result = brute_force_optimum(figure_tree)
+        assert result == brute_force_reference(figure_tree)
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_failed_fork_walks_that_share_here(self, figure_tree, call):
+        def fail(*_args):
+            raise OSError("resource temporarily unavailable")
+
+        with _forced_workers(), mock.patch.object(os, call, fail):
+            result = brute_force_optimum(figure_tree, Objective.MINIMIZE)
+        assert result == brute_force_reference(figure_tree, Objective.MINIMIZE)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit 0", "killed"])
+    def test_failed_child_share_is_walked_here(self, figure_tree, failure):
+        parent = os.getpid()
+        real_best = oracle._best
+
+        def flaky(*args):
+            if os.getpid() != parent:
+                if failure == "raise":
+                    raise RuntimeError("child failed")
+                if failure == "exit 0":
+                    raise SystemExit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_best(*args)
+
+        with _forced_workers(), mock.patch.object(oracle, "_best", flaky):
+            result = brute_force_optimum(figure_tree)
+        assert result == brute_force_reference(figure_tree)
+        _assert_no_children()
+
+    def test_child_dying_mid_write_is_walked_here(self, figure_tree):
+        parent = os.getpid()
+        real_write = os.write
+
+        def torn_write(fd, data):
+            if os.getpid() != parent:
+                real_write(fd, bytes(data[:3]))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_write(fd, data)
+
+        with _forced_workers(), mock.patch.object(os, "write", torn_write):
+            result = brute_force_optimum(figure_tree)
+        assert result == brute_force_reference(figure_tree)
+        _assert_no_children()
+
+    def test_interrupt_reaps_running_children(self, figure_tree):
+        parent = os.getpid()
+
+        def stuck(*_args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        started = time.perf_counter()
+        with _forced_workers(), mock.patch.object(oracle, "_best", stuck):
+            with pytest.raises(KeyboardInterrupt):
+                brute_force_optimum(figure_tree)
+        assert time.perf_counter() - started < 30
+        _assert_no_children()
+
+    def test_limit_is_checked_before_any_fork(self, figure_tree):
+        with _forced_workers(), mock.patch.object(os, "fork", _no_fork):
+            with pytest.raises(TooManyCutsError):
+                brute_force_optimum(figure_tree, limit=728)
+
+    def test_no_fork_while_another_thread_runs(self, figure_tree):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            with _forced_workers(), mock.patch.object(os, "fork", _no_fork):
+                result = brute_force_optimum(figure_tree)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert result == brute_force_reference(figure_tree)
+
+    def test_result_reports_the_cut_count(self, figure_tree):
+        assert brute_force_optimum(figure_tree).cut_count == 729
+        assert optimal_average_cut(figure_tree).cut_count is None
+
+
+class TestDeepPaths:
+    """A tie or a win rebuilds only what changed since the last rebuild, so
+    paths, where every cut ties (equal weights) or wins (increasing
+    weights), take linear time: 4x the edges should cost about 4x, and
+    quadratic growth would cost 16x."""
+
+    @pytest.mark.parametrize("kind", ["equal", "increasing"])
+    def test_growth_is_linear(self, kind):
+        timings = {}
+        for n in (5_000, 20_000):
+            t = path_tree(*([1] * n if kind == "equal" else range(1, n + 1)))
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                result = brute_force_optimum(t)
+                best = min(best, time.perf_counter() - started)
+            assert result.average == optimal_average_cut(t).average
+            assert result.cut_count == n
+            timings[n] = best
+        assert timings[20_000] < 8 * timings[5_000], timings
