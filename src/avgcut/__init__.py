@@ -33,16 +33,13 @@ from .oracle import (
     DEFAULT_CUT_LIMIT,
     InternalSubtree,
     brute_force_optimum,
-    check_contraction_keeps_optimum,
-    check_pull_up_dichotomy,
-    check_push_down_gain,
     count_cuts,
     enumerate_cuts,
     internal_subtree,
     is_valid_cut,
 )
-from .rational import Rational, parse_weight
-from .tree import EdgeId, NodeId, RootedTree, build_tree, contract_edge, from_edges
+from .rational import parse_weight
+from .tree import EdgeId, NodeId, RootedTree, build_tree, from_edges
 
 __version__ = "0.1.0"
 
@@ -61,16 +58,11 @@ __all__ = [
     "Objective",
     "POSITIVE_INFINITY",
     "Partition",
-    "Rational",
     "RootedTree",
     "brute_force_optimum",
     "build_tree",
-    "check_contraction_keeps_optimum",
-    "check_pull_up_dichotomy",
-    "check_push_down_gain",
     "cluster",
     "communities_from_cut",
-    "contract_edge",
     "count_cuts",
     "edge_contractibility",
     "enumerate_cuts",

@@ -12,11 +12,15 @@ live out-edges as a fraction of two ints: the lcm of the denominators
 merged into it, less the factors a contracted edge's denominator shares
 with the numerator. An aggregate grows only with the weights it holds,
 never with one scale shared by the whole tree; on integer weights every
-denominator is 1 and the arithmetic is plain int addition. The priority queue keys each candidate by the correctly
-rounded float of its exact value, and only two equal floats fall through to
-an exact cross-multiplied ratio; rounding is monotone, so the composite key
-orders exactly while almost every comparison stays on machine floats.
-Infinite contractibilities key as float infinities and carry no ratio at all.
+denominator is 1 and the arithmetic is plain int addition.
+
+One exact type, ``Contractibility``, an unreduced ``(num, den)`` pair
+ordered by cross multiplication, serves both the priority queue and the
+reported values. The queue keys each candidate by the correctly rounded
+float of its exact value, and only two equal floats fall through to the
+pair; rounding is monotone, so the composite key orders exactly while almost
+every comparison stays on machine floats. Infinite contractibilities key as
+float infinities and carry no pair at all.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from itertools import compress
 from math import gcd, lcm
 from operator import floordiv, mul
@@ -45,91 +50,95 @@ class Objective(Enum):
     MAXIMIZE = "max"
     MINIMIZE = "min"
 
-    def better(self, a, b) -> bool:
-        """True when average ``a`` strictly improves on average ``b``."""
-        return a > b if self is Objective.MAXIMIZE else a < b
 
-
+@total_ordering
 class Contractibility:
-    """A contractibility value: an exact rational or one of two infinities.
+    """A contractibility value: the exact ratio ``num / den`` or an infinity.
 
-    Out-degree-1 heads make the defining denominator zero; the swap they
-    describe changes a cut's total but not its size, so it is infinitely
-    good or bad depending on the numerator's sign. A zero numerator is a
-    neutral swap that is never taken (mapped to the never-contract side of
-    the active objective), which also guarantees termination.
+    The pair is kept unreduced, with ``den >= 0``. Out-degree-1 heads make
+    the defining denominator zero; the swap they describe changes a cut's
+    total but not its size, so ``den == 0`` is ``+inf`` or ``-inf`` by the
+    sign of ``num`` (stored as +-1). Values order by cross multiplication
+    against each other, ints and Fractions, and hash like the int or
+    Fraction they equal.
     """
 
-    __slots__ = ("_rank", "_value")
+    __slots__ = ("num", "den")
 
-    def __init__(self, rank: int, value: Fraction | None = None):
-        # rank -1/+1 are the infinities; rank 0 carries a finite value.
-        self._rank = rank
-        self._value = value
+    def __init__(self, num: int, den: int = 1):
+        if den <= 0:
+            if den or not num:
+                raise ValueError(f"not a contractibility: {num}/{den}")
+            num = 1 if num > 0 else -1
+        self.num = num
+        self.den = den
 
     @classmethod
     def finite(cls, value) -> "Contractibility":
-        return cls(0, Fraction(value))
+        value = Fraction(value)
+        return cls(value.numerator, value.denominator)
 
     @property
     def is_finite(self) -> bool:
-        return self._rank == 0
+        return self.den != 0
 
     @property
     def value(self) -> Fraction:
-        if self._rank != 0:
+        if not self.den:
             raise ValueError("infinite contractibility has no finite value")
-        return self._value  # type: ignore[return-value]
+        return Fraction(self.num, self.den)
 
-    def _key(self) -> tuple[int, Fraction]:
-        return (self._rank, self._value if self._rank == 0 else Fraction(0))
-
-    @staticmethod
-    def _coerce(other) -> "tuple[int, Fraction] | None":
+    def _sides(self, other) -> "tuple[int, int] | None":
+        """Two ints that compare as ``self`` against ``other``, or None when
+        ``other`` is not an int, a Fraction or a Contractibility."""
         if isinstance(other, Contractibility):
-            return other._key()
-        if isinstance(other, (int, Fraction)):
-            return (0, Fraction(other))
-        return None
+            num, den = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
+        else:
+            return None
+        if self.den or den:
+            return self.num * den, num * self.den
+        return self.num, num  # two infinities
 
     def __eq__(self, other) -> bool:
-        key = self._coerce(other)
-        return NotImplemented if key is None else self._key() == key
+        # Heap ties compare two finite pairs; they skip the coercion.
+        if type(other) is Contractibility and self.den and other.den:
+            return self.num * other.den == other.num * self.den
+        sides = self._sides(other)
+        return NotImplemented if sides is None else sides[0] == sides[1]
 
     def __lt__(self, other) -> bool:
-        key = self._coerce(other)
-        return NotImplemented if key is None else self._key() < key
-
-    def __le__(self, other) -> bool:
-        key = self._coerce(other)
-        return NotImplemented if key is None else self._key() <= key
-
-    def __gt__(self, other) -> bool:
-        key = self._coerce(other)
-        return NotImplemented if key is None else self._key() > key
-
-    def __ge__(self, other) -> bool:
-        key = self._coerce(other)
-        return NotImplemented if key is None else self._key() >= key
+        sides = self._sides(other)
+        return NotImplemented if sides is None else sides[0] < sides[1]
 
     def __hash__(self):
         # A finite value equals the int or Fraction it holds, so it must hash
         # like it.
-        return hash(self._value) if self._rank == 0 else hash(self._rank * math.inf)
+        return hash(Fraction(self.num, self.den) if self.den else self.num * math.inf)
 
     def __str__(self) -> str:
-        if self._rank > 0:
-            return "+inf"
-        if self._rank < 0:
-            return "-inf"
-        return exact_str(self._value)
+        if not self.den:
+            return "+inf" if self.num > 0 else "-inf"
+        return exact_str(Fraction(self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"Contractibility({self})"
+        return f"Contractibility({self.num}, {self.den})"
 
 
-POSITIVE_INFINITY = Contractibility(1)
-NEGATIVE_INFINITY = Contractibility(-1)
+POSITIVE_INFINITY = Contractibility(1, 0)
+NEGATIVE_INFINITY = Contractibility(-1, 0)
+
+
+def _contractibility(num: int, den: int, maximize: bool) -> Contractibility:
+    """The contractibility ``num / den``. At ``den == 0`` a zero ``num`` is
+    a neutral swap that is never taken: it maps to the never-contract side
+    of the objective, which also guarantees termination."""
+    if den:
+        return Contractibility(num, den)
+    if num > 0 or (num == 0 and not maximize):
+        return POSITIVE_INFINITY
+    return NEGATIVE_INFINITY
 
 
 def edge_contractibility(
@@ -139,14 +148,10 @@ def edge_contractibility(
     kids = t.children[e]
     if not kids:
         raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-    numerator = sum((t.weights[c] for c in kids), start=Fraction(0)) - t.weights[e]
-    if len(kids) >= 2:
-        return Contractibility.finite(numerator / (len(kids) - 1))
-    if numerator > 0:
-        return POSITIVE_INFINITY
-    if numerator < 0:
-        return NEGATIVE_INFINITY
-    return NEGATIVE_INFINITY if objective is Objective.MAXIMIZE else POSITIVE_INFINITY
+    gap = sum((t.weights[c] for c in kids), start=Fraction(0)) - t.weights[e]
+    return _contractibility(
+        gap.numerator, gap.denominator * (len(kids) - 1), objective is Objective.MAXIMIZE
+    )
 
 
 class ContractionStep(NamedTuple):
@@ -176,29 +181,7 @@ class CutResult:
     cut_count: int | None = field(default=None, compare=False)
 
 
-class _ExactRatio:
-    """Exact heap-key tiebreak: num/den by cross multiplication, den >= 1.
-
-    Compared only between entries whose float keys are equal, so it never
-    meets an infinity.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        self.num = num
-        self.den = den
-
-    def __lt__(self, other: "_ExactRatio") -> bool:
-        return self.num * other.den < other.num * self.den
-
-    def __eq__(self, other) -> bool:
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def _heap_key(num_o: int, den_o: int) -> tuple[float, _ExactRatio | None]:
+def _heap_key(num_o: int, den_o: int) -> tuple[float, Contractibility | None]:
     """Heap key ``(float, tiebreak)`` of the oriented contractibility
     ``num_o / den_o``; ``den_o == 0`` is an infinity (``-inf`` when
     ``num_o < 0``, else ``+inf``) and carries no tiebreak.
@@ -214,7 +197,7 @@ def _heap_key(num_o: int, den_o: int) -> tuple[float, _ExactRatio | None]:
         key = num_o / den_o
     except OverflowError:
         key = -_FLOAT_MAX if num_o < 0 else _FLOAT_MAX
-    return key, _ExactRatio(num_o, den_o)
+    return key, Contractibility(num_o, den_o)
 
 
 class ContractionState:
@@ -281,8 +264,7 @@ class ContractionState:
         heapq.heapify(heap)
         self._heap = heap
 
-        self.contractions: list[EdgeId] = []
-        # Raw step log: (edge, lam_num, lam_den, root_num, root_den,
+        # The one log of the run: (edge, lam_num, lam_den, root_num, root_den,
         # root_cnt, merged_root); lam_den == 0 encodes the infinities.
         self._steps: list[tuple[int, int, int, int, int, int, bool]] = []
         self._initial_alpha = (self._num[root], dens[root], self._cnt[root])
@@ -308,16 +290,6 @@ class ContractionState:
         wd = self._wd[e]
         wn = self._wn[e] if wd == d else self._wn[e] * (d // wd)
         return self._num[r] - wn, d * (self._cnt[r] - 1)
-
-    def _to_contractibility(self, num: int, den: int) -> Contractibility:
-        """The contractibility ``num / den``; ``den == 0`` is an infinity on
-        the side of ``num``'s sign, and a zero ``num`` then takes the
-        never-contract side of the objective."""
-        if den:
-            return Contractibility.finite(Fraction(num, den))
-        if num > 0 or (num == 0 and not self._maximize):
-            return POSITIVE_INFINITY
-        return NEGATIVE_INFINITY
 
     # --- queries ---------------------------------------------------------- #
 
@@ -360,7 +332,7 @@ class ContractionState:
         r = self._find(e)
         if self._cnt[r] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-        return self._to_contractibility(*self._lam(e, r))
+        return _contractibility(*self._lam(e, r), self._maximize)
 
     def pending_edges(self) -> set[EdgeId]:
         """Edges with a fresh queue entry (live internal edges, exactly)."""
@@ -384,11 +356,16 @@ class ContractionState:
                 (cut if alive[c] else stack).append(c)
         return frozenset(cut)
 
+    @property
+    def contractions(self) -> list[EdgeId]:
+        """The contracted edges in order, read from the step log."""
+        return [s[0] for s in self._steps]
+
     def steps(self) -> list[ContractionStep]:
         return [
             ContractionStep(
                 edge,
-                self._to_contractibility(lam_num, lam_den),
+                _contractibility(lam_num, lam_den, self._maximize),
                 Fraction(root_num, root_den * root_cnt),
                 merged,
             )
@@ -470,7 +447,6 @@ class ContractionState:
             key, tie = _heap_key(self._sign * top_num, top_den)
             heapq.heappush(self._heap, (key, tie, top, gen))
             rr = self._rr
-        self.contractions.append(e)
         self._steps.append((e, lam_num, lam_den, nums[rr], dens[rr], cnts[rr], merged_root))
 
     def run(self) -> None:

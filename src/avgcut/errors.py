@@ -55,14 +55,6 @@ class InvalidCutError(AvgCutError):
     """The edge set is not the boundary of a root-containing internal subtree."""
 
 
-class PreconditionError(AvgCutError):
-    """A property check was called on an inadmissible input."""
-
-
-class NotApplicableError(AvgCutError):
-    """The tree has no contractible edge, so the check has nothing to test."""
-
-
 # --- dendrogram / linkage -------------------------------------------------- #
 
 class LinkageError(AvgCutError):

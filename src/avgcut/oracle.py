@@ -32,20 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .contraction import (
-    CutResult,
-    Objective,
-    edge_contractibility,
-    evaluate_cut,
-)
-from .errors import (
-    InvalidCutError,
-    NotApplicableError,
-    PreconditionError,
-    TooManyCutsError,
-)
+from .contraction import CutResult, Objective
+from .errors import InvalidCutError, TooManyCutsError
 from .rational import exact_str
-from .tree import EdgeId, NodeId, RootedTree, contract_edge
+from .tree import EdgeId, NodeId, RootedTree
 
 DEFAULT_CUT_LIMIT = 10**7
 
@@ -510,92 +500,3 @@ def _best(
             if top < low:
                 low = top
     return best_total, best_size, best_ids
-
-
-# --- executable replacement properties ------------------------------------- #
-#
-# These certify, on concrete inputs, the exchange arguments the contraction
-# engine's optimality rests on. Each must return True on every admissible
-# input; a False is a bug in the engine's premises, not in the caller.
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PreconditionError(message)
-
-
-def check_push_down_gain(t: RootedTree, cut, e: EdgeId) -> bool:
-    """Swapping cut edge ``e`` for its head's out-edges strictly improves
-    the average whenever e's contractibility exceeds the cut's average.
-
-    The gain is the mediant inequality: a/b > c/d implies (a+c)/(b+d) > c/d.
-    """
-    edges = set(cut)
-    _require(is_valid_cut(t, edges), "not a valid root-separating boundary cut")
-    _require(e in edges, f"edge {e} is not in the cut")
-    _require(bool(t.children[e]), f"edge {e} ends in a leaf")
-    total, size, average = evaluate_cut(t, edges)
-    lam = edge_contractibility(t, e)
-    _require(lam > average, "contractibility does not exceed the cut average")
-
-    swapped = (edges - {e}) | set(t.children[e])
-    if not is_valid_cut(t, swapped):
-        return False
-    new_total, new_size, _ = evaluate_cut(t, swapped)
-    return new_total * size > total * new_size
-
-
-def check_pull_up_dichotomy(t: RootedTree, cut) -> bool:
-    """For every frontier edge of the cut's internal subtree, either its
-    contractibility exceeds the cut's average, or pulling the cut up to it
-    (swapping the head's out-edges for the edge itself) loses nothing while
-    strictly shrinking the internal subtree.
-    """
-    edges = set(cut)
-    _require(is_valid_cut(t, edges), "not a valid root-separating boundary cut")
-    inside = _reach(t, edges)
-    _require(len(inside) > 1, "the cut is already the root's own boundary")
-    total, size, average = evaluate_cut(t, edges)
-
-    for v in inside:
-        if v == t.root or any(c in inside for c in t.children[v]):
-            continue
-        # v is a frontier node: inside, but all of its out-edges are cut.
-        lam = edge_contractibility(t, v)
-        if lam > average:
-            continue
-        swapped = (edges - set(t.children[v])) | {v}
-        if not is_valid_cut(t, swapped):
-            return False
-        if len(_reach(t, swapped)) >= len(inside):
-            return False  # the internal subtree must strictly shrink
-        new_total, new_size, _ = evaluate_cut(t, swapped)
-        if new_total * size >= total * new_size:
-            continue
-        return False
-    return True
-
-
-def check_contraction_keeps_optimum(
-    t: RootedTree, limit: int = DEFAULT_CUT_LIMIT
-) -> bool:
-    """Contracting the edge of maximal contractibility, when it beats the
-    root average, leaves the brute-force optimum average unchanged.
-    """
-    internal = t.internal_edges()
-    if not internal:
-        raise NotApplicableError("the tree has no internal edges")
-    best_edge = min(internal)
-    best_lam = edge_contractibility(t, best_edge)
-    for e in internal:
-        lam = edge_contractibility(t, e)
-        if lam > best_lam:  # ties keep the smallest edge id
-            best_edge, best_lam = e, lam
-    root_kids = t.children[t.root]
-    alpha = sum((t.weights[c] for c in root_kids), start=Fraction(0)) / len(root_kids)
-    if not best_lam > alpha:
-        raise NotApplicableError("no edge beats the root average")
-
-    before = brute_force_optimum(t, Objective.MAXIMIZE, limit)
-    after = brute_force_optimum(contract_edge(t, best_edge), Objective.MAXIMIZE, limit)
-    return before.average == after.average

@@ -16,8 +16,6 @@ from fractions import Fraction
 
 from .errors import MalformedWeightError, NegativeWeightError
 
-Rational = Fraction
-
 # ``Fraction("1e-1000000000")`` would build a power of ten with a billion
 # digits, so exponents past this bound are rejected unparsed. At the bound,
 # the power of ten (100,000 digits, about 41 KB) takes milliseconds to build

@@ -220,26 +220,3 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
 def build_tree(edges: Iterable[tuple[str, str, str]]) -> RootedTree:
     """Like :func:`from_edges` but with weights as exact decimal/rational text."""
     return from_edges((p, c, parse_weight(w)) for p, c, w in edges)
-
-
-def contract_edge(t: RootedTree, e: EdgeId) -> RootedTree:
-    """The tree with edge ``e`` contracted: head(e) merges into its parent.
-
-    The head's out-edges are reattached to the parent with their weights and
-    labels unchanged. Used by the exhaustive checks; the production algorithm
-    contracts in-place via ContractionState instead of rebuilding.
-    """
-    if e == t.root:
-        raise TreeError("cannot contract: the root has no in-edge")
-    gone = e
-    new_parent_label = t.labels[t.tail(e)]
-    triples = []
-    for f in t.edges():
-        if f == gone:
-            continue
-        tail = t.tail(f)
-        tail_label = new_parent_label if tail == gone else t.labels[tail]
-        triples.append((tail_label, t.labels[f], t.weights[f]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroWeightWarning)
-        return from_edges(triples)

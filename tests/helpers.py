@@ -7,8 +7,20 @@ import warnings
 from fractions import Fraction
 from typing import Iterator
 
-from avgcut import CutResult, InternalSubtree, Objective, RootedTree, from_edges
-from avgcut.errors import MissingBranchLengthError, ZeroWeightWarning
+from avgcut import (
+    DEFAULT_CUT_LIMIT,
+    CutResult,
+    InternalSubtree,
+    Objective,
+    RootedTree,
+    brute_force_optimum,
+    edge_contractibility,
+    evaluate_cut,
+    from_edges,
+    internal_subtree,
+    is_valid_cut,
+)
+from avgcut.errors import AvgCutError, MissingBranchLengthError, TreeError, ZeroWeightWarning
 
 # The 40-node golden tree: three branches under the root (edge weights 1, 2,
 # 3), each with three mid nodes (weights 2,2,2 / 3,3,3 / 1,1,1), each mid
@@ -387,3 +399,121 @@ def random_linkage_csv(rng: random.Random, items: int) -> str:
         active.append(items + m)
         rows.append(f"{left},{right},{cents // 100}.{cents % 100:02d},{size[-1]}")
     return "\n".join(rows) + "\n"
+
+
+# --- executable replacement properties ------------------------------------- #
+#
+# These certify, on concrete inputs, the exchange arguments the contraction
+# engine's optimality rests on. Each must return True on every admissible
+# input; a False is a bug in the engine's premises, not in the caller.
+
+
+class PreconditionError(AvgCutError):
+    """A property check was called on an inadmissible input."""
+
+
+class NotApplicableError(AvgCutError):
+    """The tree has no contractible edge, so the check has nothing to test."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise PreconditionError(message)
+
+
+def contract_edge(t: RootedTree, e: int) -> RootedTree:
+    """The tree with edge ``e`` contracted: head(e) merges into its parent.
+
+    The head's out-edges are reattached to the parent with their weights and
+    labels unchanged. The engine contracts in place via ContractionState
+    instead of rebuilding.
+    """
+    if e == t.root:
+        raise TreeError("cannot contract: the root has no in-edge")
+    gone = e
+    new_parent_label = t.labels[t.tail(e)]
+    triples = []
+    for f in t.edges():
+        if f == gone:
+            continue
+        tail = t.tail(f)
+        tail_label = new_parent_label if tail == gone else t.labels[tail]
+        triples.append((tail_label, t.labels[f], t.weights[f]))
+    return quiet_tree(triples)
+
+
+def check_push_down_gain(t: RootedTree, cut, e: int) -> bool:
+    """Swapping cut edge ``e`` for its head's out-edges strictly improves
+    the average whenever e's contractibility exceeds the cut's average.
+
+    The gain is the mediant inequality: a/b > c/d implies (a+c)/(b+d) > c/d.
+    """
+    edges = set(cut)
+    _require(is_valid_cut(t, edges), "not a valid root-separating boundary cut")
+    _require(e in edges, f"edge {e} is not in the cut")
+    _require(bool(t.children[e]), f"edge {e} ends in a leaf")
+    total, size, average = evaluate_cut(t, edges)
+    lam = edge_contractibility(t, e)
+    _require(lam > average, "contractibility does not exceed the cut average")
+
+    swapped = (edges - {e}) | set(t.children[e])
+    if not is_valid_cut(t, swapped):
+        return False
+    new_total, new_size, _ = evaluate_cut(t, swapped)
+    return new_total * size > total * new_size
+
+
+def check_pull_up_dichotomy(t: RootedTree, cut) -> bool:
+    """For every frontier edge of the cut's internal subtree, either its
+    contractibility exceeds the cut's average, or pulling the cut up to it
+    (swapping the head's out-edges for the edge itself) loses nothing while
+    strictly shrinking the internal subtree.
+    """
+    edges = set(cut)
+    _require(is_valid_cut(t, edges), "not a valid root-separating boundary cut")
+    inside = internal_subtree(t, edges).nodes
+    _require(len(inside) > 1, "the cut is already the root's own boundary")
+    total, size, average = evaluate_cut(t, edges)
+
+    for v in inside:
+        if v == t.root or any(c in inside for c in t.children[v]):
+            continue
+        # v is a frontier node: inside, but all of its out-edges are cut.
+        lam = edge_contractibility(t, v)
+        if lam > average:
+            continue
+        swapped = (edges - set(t.children[v])) | {v}
+        if not is_valid_cut(t, swapped):
+            return False
+        if len(internal_subtree(t, swapped).nodes) >= len(inside):
+            return False  # the internal subtree must strictly shrink
+        new_total, new_size, _ = evaluate_cut(t, swapped)
+        if new_total * size >= total * new_size:
+            continue
+        return False
+    return True
+
+
+def check_contraction_keeps_optimum(
+    t: RootedTree, limit: int = DEFAULT_CUT_LIMIT
+) -> bool:
+    """Contracting the edge of maximal contractibility, when it beats the
+    root average, leaves the brute-force optimum average unchanged.
+    """
+    internal = t.internal_edges()
+    if not internal:
+        raise NotApplicableError("the tree has no internal edges")
+    best_edge = min(internal)
+    best_lam = edge_contractibility(t, best_edge)
+    for e in internal:
+        lam = edge_contractibility(t, e)
+        if lam > best_lam:  # ties keep the smallest edge id
+            best_edge, best_lam = e, lam
+    root_kids = t.children[t.root]
+    alpha = sum((t.weights[c] for c in root_kids), start=Fraction(0)) / len(root_kids)
+    if not best_lam > alpha:
+        raise NotApplicableError("no edge beats the root average")
+
+    before = brute_force_optimum(t, Objective.MAXIMIZE, limit)
+    after = brute_force_optimum(contract_edge(t, best_edge), Objective.MAXIMIZE, limit)
+    return before.average == after.average

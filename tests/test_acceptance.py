@@ -13,9 +13,6 @@ import pytest
 from avgcut import (
     Objective,
     brute_force_optimum,
-    check_contraction_keeps_optimum,
-    check_pull_up_dichotomy,
-    check_push_down_gain,
     cluster,
     count_cuts,
     edge_contractibility,
@@ -28,9 +25,16 @@ from avgcut import (
     run_contraction,
 )
 from avgcut.dendro import LinkageTable, Merge
-from avgcut.errors import NotApplicableError
 
-from .helpers import quiet_tree, random_tree, star_tree
+from .helpers import (
+    NotApplicableError,
+    check_contraction_keeps_optimum,
+    check_pull_up_dichotomy,
+    check_push_down_gain,
+    quiet_tree,
+    random_tree,
+    star_tree,
+)
 
 CORPUS_SIZE = 520
 

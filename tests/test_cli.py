@@ -107,6 +107,27 @@ class TestCutCommand:
         assert len(report["trace"]) == int(report["contraction_count"])
         assert report["trace"], "the figure run contracts at least once"
 
+    @pytest.mark.parametrize(
+        "objective, average, trace",
+        [
+            # r a: head a has one out-edge and 3 - 1 > 0.
+            ("max", "13/3", ["r a +inf"]),
+            # r z: 1 - 2 < 0 over one out-edge; r y: (1 + 1 + 2 - 8) / 2,
+            # the unreduced pair (-4, 2).
+            ("min", "6/5", ["r z -inf", "r y -2"]),
+        ],
+    )
+    def test_trace_text(self, capsys, tmp_path, objective, average, trace):
+        path = tmp_path / "spurs.edges"
+        path.write_text("r a 1\na b 3\nr y 8\ny c 1\ny d 1\ny e 2\nr z 2\nz g 1\n")
+        code, out, _ = run(
+            capsys, "cut", "--objective", objective, "--input", str(path), "--trace"
+        )
+        report = parse_report(out)
+        assert code == 0
+        assert report["average"] == average
+        assert report["trace"] == trace
+
     def test_deterministic_output(self, capsys, figure_file):
         def stable(run_out: str) -> str:
             return "\n".join(

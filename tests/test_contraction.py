@@ -39,6 +39,8 @@ from .helpers import (
 class TestContractibilityType:
     def test_total_order(self):
         finite = [Contractibility.finite(Fraction(n, d)) for n, d in ((-3, 1), (0, 1), (7, 2))]
+        # with unreduced pairs: -6/4 between -3 and 0, 4/2 between 0 and 7/2
+        finite = [finite[0], Contractibility(-6, 4), finite[1], Contractibility(4, 2), finite[2]]
         ordered = [NEGATIVE_INFINITY, *finite, POSITIVE_INFINITY]
         for i, low in enumerate(ordered):
             assert low == low
@@ -68,13 +70,17 @@ class TestContractibilityType:
         assert str(Contractibility.finite(Fraction(7, 2))) == "7/2"
 
     def test_hash_agrees_with_equality(self):
-        for value in (2, -3, 0, Fraction(7, 2), Fraction(-1, 3), Fraction(4, 2)):
-            lam = Contractibility.finite(value)
+        cases = [
+            (Contractibility.finite(value), value)
+            for value in (2, -3, 0, Fraction(7, 2), Fraction(-1, 3), Fraction(4, 2))
+        ]
+        cases += [(Contractibility(4, 2), 2), (Contractibility(-6, 4), Fraction(-3, 2))]
+        for lam, value in cases:
             assert lam == value
             assert hash(lam) == hash(value)
             assert value in {lam}
             assert lam in {value}
-        assert len({Contractibility.finite(Fraction(4, 2)), 2, Fraction(2)}) == 1
+        assert len({Contractibility.finite(Fraction(4, 2)), Contractibility(4, 2), 2, Fraction(2)}) == 1
         assert len({POSITIVE_INFINITY, NEGATIVE_INFINITY, POSITIVE_INFINITY}) == 2
 
 

@@ -14,9 +14,6 @@ from avgcut import (
     Objective,
     oracle,
     brute_force_optimum,
-    check_contraction_keeps_optimum,
-    check_pull_up_dichotomy,
-    check_push_down_gain,
     count_cuts,
     enumerate_cuts,
     evaluate_cut,
@@ -25,15 +22,15 @@ from avgcut import (
     optimal_average_cut,
     parse_edgelist,
 )
-from avgcut.errors import (
-    InvalidCutError,
-    NotApplicableError,
-    PreconditionError,
-    TooManyCutsError,
-)
+from avgcut.errors import InvalidCutError, TooManyCutsError
 
 from .helpers import (
+    NotApplicableError,
+    PreconditionError,
     brute_force_reference,
+    check_contraction_keeps_optimum,
+    check_pull_up_dichotomy,
+    check_push_down_gain,
     edge_set_by_children,
     enumerate_reference,
     figure_max_cut_children,

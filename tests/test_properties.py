@@ -14,9 +14,6 @@ from avgcut import (
     Contractibility,
     Objective,
     brute_force_optimum,
-    check_contraction_keeps_optimum,
-    check_pull_up_dichotomy,
-    check_push_down_gain,
     count_cuts,
     edge_contractibility,
     enumerate_cuts,
@@ -27,9 +24,14 @@ from avgcut import (
     run_contraction,
 )
 from avgcut.contraction import _heap_key
-from avgcut.errors import NotApplicableError
 
-from .helpers import quiet_tree
+from .helpers import (
+    NotApplicableError,
+    check_contraction_keeps_optimum,
+    check_pull_up_dichotomy,
+    check_push_down_gain,
+    quiet_tree,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=80,
@@ -308,6 +310,11 @@ class TestOrderingInternals:
     @given(st.lists(
         st.one_of(
             st.fractions(max_denominator=50).map(Contractibility.finite),
+            st.builds(  # the same values as unreduced pairs
+                lambda f, k: Contractibility(f.numerator * k, f.denominator * k),
+                st.fractions(max_denominator=50),
+                st.integers(min_value=2, max_value=5),
+            ),
             st.sampled_from([POSITIVE_INFINITY, NEGATIVE_INFINITY]),
         ),
         min_size=2, max_size=8,

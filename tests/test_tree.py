@@ -220,7 +220,7 @@ class TestInvariants:
 
 class TestContractEdge:
     def test_contract_reattaches_children(self):
-        from avgcut import contract_edge
+        from .helpers import contract_edge
 
         t = path_tree(5, 10)
         t2 = contract_edge(t, t.edge_by_child("n1"))
@@ -229,7 +229,7 @@ class TestContractEdge:
         assert t2.labels[t2.root] == "n0"
 
     def test_contract_preserves_other_weights(self, figure_tree):
-        from avgcut import contract_edge
+        from .helpers import contract_edge
 
         t = figure_tree
         t2 = contract_edge(t, t.edge_by_child("a2"))
