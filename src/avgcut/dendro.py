@@ -8,16 +8,22 @@ the cluster stayed intact over a long height range, so maximizing the
 average gap selects stable communities even when they are many and small.
 The alternative "height" scheme weights every edge by its parent's merge
 height, for comparison experiments.
+
+A :class:`LinkageTable` holds its merges as int columns, each height as a
+reduced ``(hnum, hden)`` pair, from the CSV text to the tree; its
+``merges`` rows with Fraction heights are a view built on first use, which
+the ``cluster`` pipeline never builds.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .contraction import CutResult, Objective, optimal_average_cut
 from .errors import (
@@ -29,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .oracle import is_valid_cut
-from .rational import echo, exact_str, parse_rational
+from .rational import echo, exact_str, parse_rational_pair, ratio_str
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -45,34 +51,60 @@ class Merge(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinkageTable:
     """A hierarchical-clustering merge sequence over ``n_items`` items.
 
     Cluster indices below n_items are original items; index n_items + k is
-    the cluster formed by merge k. Structural validation happens here; that
-    no merge sits below a cluster it absorbs is checked when a tree is
-    synthesized, so that such tables can still be constructed and rejected
-    late with a precise error.
+    the cluster formed by merge k. Merge k is kept in int columns: clusters
+    ``left[k]`` and ``right[k]`` join at height ``hnum[k] / hden[k]`` (in
+    lowest terms, ``hden[k] >= 1``) into a cluster of ``size[k]`` items.
+    ``LinkageTable(n_items=..., merges=...)`` builds the columns from
+    :class:`Merge` rows, whose heights may be anything ``Fraction()``
+    accepts; ``merges`` is the rows' view with Fraction heights, built on
+    first use. Structural validation happens here; that no merge sits below
+    a cluster it absorbs is checked when a tree is synthesized, so that such
+    tables can still be constructed and rejected late with a precise error.
     """
 
     n_items: int
-    merges: tuple[Merge, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    hnum: tuple[int, ...]
+    hden: tuple[int, ...]
+    size: tuple[int, ...]
 
-    def __post_init__(self):
-        n = self.n_items
+    def __init__(self, n_items: int, merges: Iterable[Merge]):
+        rows = []
+        for left, right, height, size in merges:
+            height = Fraction(height)
+            rows.append((left, right, height.numerator, height.denominator, size))
+        self._fill(n_items, rows)
+
+    @classmethod
+    def _from_rows(cls, n_items: int, rows: list[tuple[int, int, int, int, int]]):
+        """A table from ``(left, right, hnum, hden, size)`` int rows whose
+        heights are in lowest terms."""
+        table = cls.__new__(cls)
+        table._fill(n_items, rows)
+        return table
+
+    def _fill(self, n_items: int, rows: list[tuple[int, int, int, int, int]]) -> None:
+        columns = tuple(zip(*rows)) if rows else ((),) * 5
+        object.__setattr__(self, "n_items", n_items)
+        for name, column in zip(("left", "right", "hnum", "hden", "size"), columns):
+            object.__setattr__(self, name, column)
+        n = n_items
         if n < 2:
             raise LinkageError(f"need at least 2 items, got {n}")
-        if len(self.merges) != n - 1:
-            raise LinkageError(
-                f"expected {n - 1} merges for {n} items, got {len(self.merges)}"
-            )
+        if len(rows) != n - 1:
+            raise LinkageError(f"expected {n - 1} merges for {n} items, got {len(rows)}")
         sizes = [1] * n  # per cluster index
         used = bytearray(2 * n - 1)
-        for k, (left, right, _height, size) in enumerate(self.merges):
-            if left == right:
-                raise LinkageIndexError(f"merge {k} joins cluster {left} with itself")
-            for side in (left, right):
+        for k, (a, b, _, _, merged) in enumerate(rows):
+            if a == b:
+                raise LinkageIndexError(f"merge {k} joins cluster {a} with itself")
+            for side in (a, b):
                 if not (0 <= side < n + k):
                     raise LinkageIndexError(
                         f"merge {k} references cluster {side}, valid range is 0..{n + k - 1}"
@@ -82,16 +114,26 @@ class LinkageTable:
                         f"cluster {side} is merged twice (second time in merge {k})"
                     )
                 used[side] = 1
-            expected = sizes[left] + sizes[right]
-            if size != expected:
-                raise LinkageError(f"merge {k} claims size {size}, children sum to {expected}")
-            sizes.append(size)
+            expected = sizes[a] + sizes[b]
+            if merged != expected:
+                raise LinkageError(f"merge {k} claims size {merged}, children sum to {expected}")
+            sizes.append(merged)
+
+    @cached_property
+    def merges(self) -> tuple[Merge, ...]:
+        """Per-merge rows with Fraction heights, built from the columns on
+        first use and kept."""
+        heights = map(Fraction, self.hnum, self.hden)
+        return tuple(map(Merge, self.left, self.right, heights, self.size))
 
     def cluster_size(self, index: int) -> int:
-        return 1 if index < self.n_items else self.merges[index - self.n_items].size
+        return 1 if index < self.n_items else self.size[index - self.n_items]
 
     def cluster_height(self, index: int) -> Fraction:
-        return _ZERO if index < self.n_items else self.merges[index - self.n_items].height
+        if index < self.n_items:
+            return _ZERO
+        k = index - self.n_items
+        return Fraction(self.hnum[k], self.hden[k])
 
     def cluster_label(self, index: int) -> str:
         """Items keep their index as label; merged clusters get a c-prefix."""
@@ -103,6 +145,11 @@ class Partition:
     """Disjoint communities of item labels covering all items."""
 
     communities: tuple[frozenset[str], ...]
+    # The communities' members in label order, when their builder sorted
+    # them already, as communities_from_cut does.
+    _ordered: tuple[tuple[str, ...], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __iter__(self):
         return iter(self.communities)
@@ -115,18 +162,30 @@ class Partition:
 
     def ordered(self) -> tuple[tuple[str, ...], ...]:
         """Each community's members, numeric labels numerically and first."""
-        return tuple(tuple(sorted(c, key=_label_order(c))) for c in self.communities)
+        if self._ordered is not None:
+            return self._ordered
+        return tuple(map(_sorted_labels, self.communities))
 
 
 def _label_key(label: str):
-    # Numeric labels sort numerically, everything else lexically after them.
-    return (0, int(label), "") if label.isdecimal() else (1, 0, label)
+    # Numeric labels sort numerically, ties such as "1" and "01" by text, and
+    # everything else lexically after them.
+    return (0, int(label), label) if label.isdecimal() else (1, 0, label)
 
 
 def _label_order(labels):
     """A sort key that orders ``labels`` as :func:`_label_key` does: ``int``
-    when every label is decimal, as every linkage item's is."""
-    return int if all(map(str.isdecimal, labels)) else _label_key
+    when every label is decimal and no two are equal as ints, as linkage
+    items are."""
+    if all(map(str.isdecimal, labels)) and len(set(map(int, labels))) == len(labels):
+        return int
+    return _label_key
+
+
+def _sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """``labels`` in :func:`_label_key` order."""
+    labels = list(labels)
+    return tuple(sorted(labels, key=_label_order(labels)))
 
 
 def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
@@ -152,12 +211,8 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     wden = [1] * node_count
     labels: list[str] = []
     cluster_node: list[int] = []  # node id of cluster n + k
-    cluster_num: list[int] = []  # height of cluster n + k, as
-    cluster_den: list[int] = []  # cluster_num / cluster_den in lowest terms
-    for k, (left, right, height, _size) in enumerate(table.merges):
-        if type(height) is not Fraction:
-            height = Fraction(height)
-        hn, hd = height.numerator, height.denominator
+    hnum, hden = table.hnum, table.hden
+    for k, (left, right, hn, hd) in enumerate(zip(table.left, table.right, hnum, hden)):
         u = len(labels)
         labels.append(f"c{n + k}")
         pair = []
@@ -168,7 +223,7 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
                 labels.append(str(side))
             else:
                 c = cluster_node[side - n]
-                cn, cd = cluster_num[side - n], cluster_den[side - n]
+                cn, cd = hnum[side - n], hden[side - n]
                 if cd == hd:
                     gn, gd = hn - cn, hd
                 else:
@@ -178,7 +233,7 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
                     gn, gd = gn // g, gd // g
             if gn < 0:
                 raise NegativeGapError(
-                    f"merge {k} at height {exact_str(table.merges[k].height)} is below "
+                    f"merge {k} at height {ratio_str(hn, hd)} is below "
                     f"cluster {side} at height {exact_str(table.cluster_height(side))}"
                 )
             parent[c] = u
@@ -187,8 +242,6 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
         a, b = pair
         children[u] = (a, b) if a < b else (b, a)
         cluster_node.append(u)
-        cluster_num.append(hn)
-        cluster_den.append(hd)
     return RootedTree(
         node_count=node_count,
         root=cluster_node[-1],
@@ -211,9 +264,9 @@ def communities_from_cut(t: RootedTree, cut) -> Partition:
     if not is_valid_cut(t, edges):
         raise InvalidCutError("not a root-separating boundary cut")
     label_of = t.labels.__getitem__
-    groups = [frozenset(map(label_of, t.subtree_leaves(e))) for e in sorted(edges)]
-    groups.sort(key=lambda group: _label_key(min(group, key=_label_order(group))))
-    return Partition(tuple(groups))
+    members = [_sorted_labels(map(label_of, t.subtree_leaves(e))) for e in sorted(edges)]
+    members.sort(key=lambda group: _label_key(group[0]))
+    return Partition(tuple(map(frozenset, members)), tuple(members))
 
 
 def cluster(
@@ -265,11 +318,11 @@ def parse_linkage_csv(text: str) -> LinkageTable:
             raise ParseError("left, right, and size must be integers", line=lineno) from None
         height_text = height_text.strip()
         try:
-            height = parse_rational(height_text)
+            num, den = parse_rational_pair(height_text)
         except MalformedWeightError:
             raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
-        merges.append(Merge(left, right, height, size))
-    return LinkageTable(n_items=len(merges) + 1, merges=tuple(merges))
+        merges.append((left, right, num, den, size))
+    return LinkageTable._from_rows(len(merges) + 1, merges)
 
 
 def read_linkage_csv(path) -> LinkageTable:

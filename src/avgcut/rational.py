@@ -110,16 +110,25 @@ def parse_weight(text: str) -> Fraction:
     return value
 
 
-def parse_weight_pair(text: str) -> tuple[int, int]:
-    """``parse_weight(text)`` as its reduced ``(numerator, denominator)``,
+def parse_rational_pair(text: str) -> tuple[int, int]:
+    """``parse_rational(text)`` as its reduced ``(numerator, denominator)``,
     with the same errors; plain literals (see :func:`parse_rational`) are
     read without building a Fraction."""
     num, den = _plain_pair(text)
     if den:
         g = math.gcd(num, den)
         return num // g, den // g
-    value = parse_weight(text)
+    value = parse_rational(text)
     return value.numerator, value.denominator
+
+
+def parse_weight_pair(text: str) -> tuple[int, int]:
+    """``parse_weight(text)`` as its reduced ``(numerator, denominator)``,
+    with the same errors."""
+    num, den = parse_rational_pair(text)
+    if num < 0:
+        raise NegativeWeightError(f"negative weight: {echo(text)}")
+    return num, den
 
 
 def exact_str(value: Fraction | int) -> str:

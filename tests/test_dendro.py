@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgcut
 from avgcut import (
     LinkageTable,
     Merge,
@@ -223,6 +228,50 @@ class TestDirectBuild:
             assert str(exc.value) == message
 
 
+def height_text(value: Fraction, form: str) -> str:
+    """A non-negative height as ``p/q`` text, or in ``decimal`` or
+    ``exponent`` form when its denominator divides a power of ten."""
+    for k in range(7):
+        if 10**k % value.denominator == 0:
+            break
+    else:
+        form = "p/q"
+    if form == "p/q":
+        return f"{value.numerator}/{value.denominator}"
+    scaled = int(value * 10**k)
+    if form == "exponent":
+        return f"{scaled}e-{k}"
+    return f"{scaled // 10**k}.{scaled % 10**k:0{k}d}" if k else f"{scaled}.0"
+
+
+@st.composite
+def linkage_csv_texts(draw):
+    """A ``linkage_tables()`` draw and its CSV text, each height in one of
+    three literal forms, with blank and empty-cell rows in between."""
+    table = draw(linkage_tables())
+    lines = ["left,right,height,size"]
+    for merge in table.merges:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " , ,\t, ", ",,,"])))
+        form = draw(st.sampled_from(["p/q", "decimal", "exponent"]))
+        lines.append(f"{merge.left},{merge.right},{height_text(merge.height, form)},{merge.size}")
+    return table, "\n".join(lines) + "\n"
+
+
+class TestLinkageCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(linkage_csv_texts())
+    def test_parsed_text_is_the_drawn_table(self, drawn):
+        table, text = drawn
+        parsed = parse_linkage_csv(text)
+        assert parsed == table
+        heights = [m.height for m in parsed.merges]
+        assert all(type(h) is Fraction for h in heights)
+        assert heights == [m.height for m in table.merges]
+        for scheme in ("gap", "height"):
+            assert linkage_to_tree(parsed, scheme) == linkage_to_tree(table, scheme)
+
+
 class TestCommunities:
     def test_root_boundary_three_items(self, three_item_table):
         t = linkage_to_tree(three_item_table, "gap")
@@ -283,6 +332,23 @@ class TestCommunities:
         assert part.ordered() == tuple(tuple(sorted(g, key=_label_key)) for g in groups)
         for g in groups:
             assert _label_key(min(g, key=_label_order(g))) == min(map(_label_key, g))
+
+    def test_member_order_of_int_ties_ignores_the_hash_seed(self):
+        # "1", "01", "001" and "0001" are equal as ints. Their order must come
+        # from their text, not from set iteration, which PYTHONHASHSEED moves.
+        code = (
+            "from avgcut import communities_from_cut, parse_edgelist\n"
+            "t = parse_edgelist('r x 1\\nx 1 1\\nx 01 1\\nx 001 1\\nx 0001 1\\n')\n"
+            "print(communities_from_cut(t, {t.node_id('x')}).ordered()[0])\n"
+        )
+        src = str(Path(avgcut.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            assert out == "('0001', '001', '01', '1')\n"
 
 
 class TestCluster:
@@ -365,6 +431,27 @@ class TestLinkageCsv:
         assert table.merges[0].height == -1
         with pytest.raises(NegativeGapError):
             linkage_to_tree(table)
+
+    @pytest.mark.parametrize(
+        "height, value",
+        [
+            ("0.1", Fraction(1, 10)),
+            ("3/4", Fraction(3, 4)),
+            ("1.5e1", Fraction(15)),
+            # 5,000 digits each, past the default sys.get_int_max_str_digits()
+            ("1" + "0" * 4998 + ".5", 10**4998 + Fraction(1, 2)),
+            ("1" + "0" * 4999 + "/3", Fraction(10**4999, 3)),
+        ],
+        ids=["decimal", "p/q", "exponent", "long-decimal", "long-p/q"],
+    )
+    def test_cluster_leaves_the_merge_view_unbuilt(self, height, value):
+        table = parse_linkage_csv(f"left,right,height,size\n0,1,{height},2\n")
+        _, result = cluster(table)
+        assert "merges" not in table.__dict__
+        assert Fraction(table.hnum[0], table.hden[0]) == value
+        assert result.average == value
+        assert table.merges[0].height == value
+        assert "merges" in table.__dict__
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
