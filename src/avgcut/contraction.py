@@ -205,8 +205,11 @@ class ContractionState:
 
     Holds the supernode partition (union-find over original node ids), the
     per-supernode live out-edge aggregates, and a lazy priority queue over
-    live internal edges. Confine an instance to a single thread; separate
-    runs on separate trees are independent.
+    live internal edges. A contraction links the head under its tail's
+    supernode, so every supernode is named by its topmost original node,
+    whose in-edge is the supernode's, and an edge ``e`` is live exactly when
+    ``_uf[e] == e``. Confine an instance to a single thread; separate runs on
+    separate trees are independent.
     """
 
     def __init__(self, tree: RootedTree, objective: Objective = Objective.MAXIMIZE):
@@ -222,14 +225,15 @@ class ContractionState:
         self._wn = wn = tree.wnum
         self._wd = wd = tree.wden
 
+        # Each supernode's union-find root is its topmost node; path halving
+        # rewrites only entries that do not point to themselves, so a node is
+        # a root, and its in-edge live, until it is absorbed.
         self._uf = list(range(n))
-        self._uf_size = [1] * n
-        # Per-representative aggregates over live out-edges: their total as
-        # _num / _den, and their count. _den is always a positive multiple of
-        # the denominator of the supernode's own in-edge weight, so _lam()
-        # needs no lcm and a merge needs one. It starts as the lcm of a node's
-        # in- and out-edge denominators. _top is the topmost original node of
-        # each supernode (whose in-edge is the supernode's).
+        # Per-supernode aggregates over live out-edges, at the supernode's
+        # name: their total as _num / _den, and their count. _den is always a
+        # positive multiple of the denominator of the supernode's own in-edge
+        # weight, so _lam() needs no lcm and a merge needs one. It starts as
+        # the lcm of a node's in- and out-edge denominators.
         parent = list(tree.parent)
         parent[root] = root  # any valid index: the root's weight slot is 0
         dens = list(wd)
@@ -242,16 +246,10 @@ class ContractionState:
         self._num = [sum(map(scaled_at, kids)) for kids in tree.children]
         self._den = dens
         self._cnt = [len(kids) for kids in tree.children]
-        self._top = self._uf[:]
-        self._rr = root  # representative of the root's supernode
-
-        self._alive = bytearray(b"\x01") * n
-        self._alive[root] = 0  # the root has no in-edge
 
         self._gen = [0] * n
-        # Heap entries are (float key, tiebreak, edge, generation). Before
-        # any contraction every node is its own representative, so the pair
-        # is _lam(e, e), inlined to save a method call per edge.
+        # Heap entries are (float key, tiebreak, edge, generation). The pair
+        # is _lam(e), inlined to save a method call per edge.
         sign = self._sign
         nums, cnts = self._num, self._cnt
         heap = []
@@ -280,16 +278,17 @@ class ContractionState:
 
     # --- exact aggregates ------------------------------------------------ #
 
-    def _lam(self, e: EdgeId, r: NodeId) -> tuple[int, int]:
-        """Contractibility of ``e``, whose head supernode ``r`` represents, as
-        an unreduced pair ``(num, den)``. ``num / _den[r]`` is
-        ``out_sum(r) - weight(e)``, exact because the weight's denominator
-        divides ``_den[r]``, and ``den`` is ``_den[r] * (live_out_count(r) - 1)``,
-        so ``den == 0`` encodes the infinities."""
-        d = self._den[r]
+    def _lam(self, e: EdgeId) -> tuple[int, int]:
+        """Contractibility of live edge ``e`` as an unreduced pair
+        ``(num, den)``. The head ``e`` names its own supernode, so
+        ``num / _den[e]`` is ``out_sum(e) - weight(e)``, exact because the
+        weight's denominator divides ``_den[e]``, and ``den`` is
+        ``_den[e] * (live_out_count(e) - 1)``, so ``den == 0`` encodes the
+        infinities."""
+        d = self._den[e]
         wd = self._wd[e]
         wn = self._wn[e] if wd == d else self._wn[e] * (d // wd)
-        return self._num[r] - wn, d * (self._cnt[r] - 1)
+        return self._num[e] - wn, d * (self._cnt[e] - 1)
 
     # --- queries ---------------------------------------------------------- #
 
@@ -298,12 +297,12 @@ class ContractionState:
             raise ValueError(f"not an edge id: {e!r}")
 
     def representative(self, v: NodeId) -> NodeId:
-        """Current supernode representative of original node ``v``."""
+        """The topmost original node of ``v``'s supernode, which names it."""
         return self._find(v)
 
     def is_alive(self, e: EdgeId) -> bool:
         self._check_edge(e)
-        return bool(self._alive[e])
+        return self._uf[e] == e
 
     def live_out_sum(self, v: NodeId) -> Fraction:
         """Total weight of live out-edges of ``v``'s supernode."""
@@ -316,8 +315,8 @@ class ContractionState:
 
     @property
     def root_average(self) -> Fraction:
-        rr = self._rr
-        return Fraction(self._num[rr], self._den[rr] * self._cnt[rr])
+        root = self.tree.root
+        return Fraction(self._num[root], self._den[root] * self._cnt[root])
 
     @property
     def initial_root_average(self) -> Fraction:
@@ -327,19 +326,18 @@ class ContractionState:
     def contractibility(self, e: EdgeId) -> Contractibility:
         """Contractibility of live edge ``e`` under the current partition."""
         self._check_edge(e)
-        if not self._alive[e]:
+        if self._uf[e] != e:
             raise DeadEdgeError(f"edge {e} was already contracted")
-        r = self._find(e)
-        if self._cnt[r] == 0:
+        if self._cnt[e] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-        return _contractibility(*self._lam(e, r), self._maximize)
+        return _contractibility(*self._lam(e), self._maximize)
 
     def pending_edges(self) -> set[EdgeId]:
         """Edges with a fresh queue entry (live internal edges, exactly)."""
         return {
             entry[2]
             for entry in self._heap
-            if self._alive[entry[2]] and entry[3] == self._gen[entry[2]]
+            if self._uf[entry[2]] == entry[2] and entry[3] == self._gen[entry[2]]
         }
 
     def cut_edges(self) -> frozenset[EdgeId]:
@@ -348,12 +346,12 @@ class ContractionState:
         The supernode is the root and everything below it through contracted
         edges, so a walk down those edges meets each cut edge once.
         """
-        children, alive = self.tree.children, self._alive
+        children, uf = self.tree.children, self._uf
         cut = []
         stack = [self.tree.root]
         while stack:
             for c in children[stack.pop()]:
-                (cut if alive[c] else stack).append(c)
+                (cut if uf[c] == c else stack).append(c)
         return frozenset(cut)
 
     @property
@@ -383,12 +381,13 @@ class ContractionState:
     def contract(self, e: EdgeId) -> None:
         """Merge head(e) into its tail's supernode and update aggregates.
 
-        The tail supernode keeps its identity; its in-edge (if it is not the
-        root supernode) is the only edge whose contractibility changes, and
-        gets requeued. Raises DeadEdgeError / LeafHeadError as appropriate.
+        The tail supernode keeps its name, its topmost node; its in-edge (if
+        it is not the root supernode) is the only edge whose contractibility
+        changes, and gets requeued. Raises DeadEdgeError / LeafHeadError as
+        appropriate.
         """
         self._check_edge(e)
-        if not self._alive[e]:
+        if self._uf[e] != e:
             raise DeadEdgeError(f"edge {e} was already contracted")
         if not self.tree.children[e]:
             raise LeafHeadError(f"edge {e} ends in a leaf and cannot be contracted")
@@ -397,67 +396,55 @@ class ContractionState:
     def _merge(self, e: EdgeId) -> None:
         """:meth:`contract` for an edge known to be live and internal."""
         nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
-        ru = self._find(self.tree.parent[e])  # type: ignore[arg-type]
-        rv = self._find(e)
-        lam_num, lam_den = self._lam(e, rv)
+        u = self._find(self.tree.parent[e])  # type: ignore[arg-type]
+        lam_num, lam_den = self._lam(e)
 
-        # The merged total is out_sum(ru) - weight(e) + out_sum(rv), which is
-        # out_sum(ru) + lam_num / _den[rv], over lcm(_den[ru], _den[rv]).
-        num, den = nums[ru], dens[ru]
-        den_v = dens[rv]
-        if den == den_v:
+        # The merged total is out_sum(u) - weight(e) + out_sum(e), which is
+        # out_sum(u) + lam_num / _den[e], over lcm(_den[u], _den[e]).
+        num, den = nums[u], dens[u]
+        den_e = dens[e]
+        if den == den_e:
             num += lam_num
         else:
-            g = gcd(den, den_v)
-            num = num * (den_v // g) + lam_num * (den // g)
-            den = den // g * den_v
-        cnt = cnts[ru] + cnts[rv] - 1
-        top = self._top[ru]
+            g = gcd(den, den_e)
+            num = num * (den_e // g) + lam_num * (den // g)
+            den = den // g * den_e
         q = wd[e]
         if q != 1:
             # weight(e) left the total: cancel what its denominator shares
-            # with the numerator, but keep the in-edge's denominator (top's)
-            # dividing _den. Without this a supernode that absorbs a chain of
-            # distinct prime denominators keeps all of them, long after their
-            # weights have left its total.
+            # with the numerator, but keep u's in-edge denominator dividing
+            # _den. Without this a supernode that absorbs a chain of distinct
+            # prime denominators keeps all of them, long after their weights
+            # have left its total.
             g = gcd(num, q)
             if g != 1:
-                g = gcd(g, den // wd[top])
+                g = gcd(g, den // wd[u])
                 num //= g
                 den //= g
-        self._alive[e] = 0
-        # Union by size; the merged supernode keeps ru's topmost node.
-        sizes = self._uf_size
-        rm, rl = (rv, ru) if sizes[ru] < sizes[rv] else (ru, rv)
-        self._uf[rl] = rm
-        sizes[rm] += sizes[rl]
-        nums[rm] = num
-        dens[rm] = den
-        cnts[rm] = cnt
-        self._top[rm] = top
+        self._uf[e] = u
+        nums[u] = num
+        dens[u] = den
+        cnts[u] += cnts[e] - 1
 
-        merged_root = top == self.tree.root
-        if merged_root:
-            self._rr = rr = rm
-        else:
-            # The merged supernode's in-edge is named by its topmost node;
-            # a new generation invalidates every queued entry for it.
-            gen = self._gen[top] = self._gen[top] + 1
-            top_num, top_den = self._lam(top, rm)
-            key, tie = _heap_key(self._sign * top_num, top_den)
-            heapq.heappush(self._heap, (key, tie, top, gen))
-            rr = self._rr
-        self._steps.append((e, lam_num, lam_den, nums[rr], dens[rr], cnts[rr], merged_root))
+        root = self.tree.root
+        if u != root:
+            # A new generation invalidates every queued entry for u's in-edge.
+            gen = self._gen[u] = self._gen[u] + 1
+            u_num, u_den = self._lam(u)
+            key, tie = _heap_key(self._sign * u_num, u_den)
+            heapq.heappush(self._heap, (key, tie, u, gen))
+        self._steps.append((e, lam_num, lam_den, nums[root], dens[root], cnts[root], u == root))
 
     def run(self) -> None:
         """Contract best-first until no live edge strictly beats the root average."""
-        heap, alive, gen = self._heap, self._alive, self._gen
+        heap, uf, gen = self._heap, self._uf, self._gen
         nums, dens, cnts = self._num, self._den, self._cnt
         sign, merge, heappop = self._sign, self._merge, heapq.heappop
+        root = self.tree.root
         while heap:
             entry = heappop(heap)
             e = entry[2]
-            if not alive[e] or entry[3] != gen[e]:
+            if uf[e] != e or entry[3] != gen[e]:
                 continue  # stale: contracted, or requeued since
             # Stop unless the oriented value is strictly below the oriented
             # root average; of the infinities only -inf is.
@@ -465,17 +452,16 @@ class ContractionState:
             if tie is None:
                 beats = entry[0] < 0
             else:
-                rr = self._rr
-                beats = tie.num * (dens[rr] * cnts[rr]) < sign * nums[rr] * tie.den
+                beats = tie.num * (dens[root] * cnts[root]) < sign * nums[root] * tie.den
             if not beats:
                 heapq.heappush(heap, entry)  # keep the queue complete
                 return
             merge(e)  # queued edges are live and internal
 
     def result(self) -> CutResult:
-        rr = self._rr
-        total_num, total_den = self._num[rr], self._den[rr]
-        size = self._cnt[rr]
+        root = self.tree.root
+        total_num, total_den = self._num[root], self._den[root]
+        size = self._cnt[root]
         return CutResult(
             cut=self.cut_edges(),
             total=Fraction(total_num, total_den),

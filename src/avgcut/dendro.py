@@ -18,6 +18,7 @@ the ``cluster`` pipeline never builds.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -167,18 +168,31 @@ class Partition:
         return tuple(map(_sorted_labels, self.communities))
 
 
+def _label_int(label: str) -> int:
+    """The value of a decimal label of any length: ``int()`` refuses more
+    than ``sys.get_int_max_str_digits()`` digits, ``decimal`` does not."""
+    try:
+        return int(label)
+    except ValueError:
+        return int(decimal.Decimal(label))
+
+
 def _label_key(label: str):
     # Numeric labels sort numerically, ties such as "1" and "01" by text, and
     # everything else lexically after them.
-    return (0, int(label), label) if label.isdecimal() else (1, 0, label)
+    return (0, _label_int(label), label) if label.isdecimal() else (1, 0, label)
 
 
 def _label_order(labels):
     """A sort key that orders ``labels`` as :func:`_label_key` does: ``int``
     when every label is decimal and no two are equal as ints, as linkage
     items are."""
-    if all(map(str.isdecimal, labels)) and len(set(map(int, labels))) == len(labels):
-        return int
+    if all(map(str.isdecimal, labels)):
+        try:
+            if len(set(map(int, labels))) == len(labels):
+                return int
+        except ValueError:  # past int()'s digit limit
+            pass
     return _label_key
 
 

@@ -122,8 +122,8 @@ class _Prep:
         self.base = (leaf_sum[t.root], len(self.root_leaves))
 
 
-def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray, int, int]]:
-    """Yield every cut as (positions, expanded, scaled total, size).
+def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray]]:
+    """Yield every cut as (positions, expanded).
 
     ``positions`` lists the decided positions in ``prep.order``, and
     ``expanded[p]`` is 1 where the node at position ``p`` joined the internal
@@ -133,36 +133,25 @@ def _walk(prep: _Prep) -> Iterator[tuple[list[int], bytearray, int, int]]:
     many cuts exist.
     """
     skip_to = prep.skip_to
-    w = prep.w
-    leaf_sum = prep.leaf_sum
-    leaf_count = prep.leaf_count
     m = len(skip_to)
 
     # Backtracking over "cut here" (0) vs "expand into subtree" (1)
     # decisions; a node is only reachable when all its ancestors expanded.
     positions: list[int] = []
     expanded = bytearray(m)
-    total, size = prep.base
     pos = 0
     while True:
         while pos < m:
-            total += w[pos]
-            size += 1
             positions.append(pos)
             pos = skip_to[pos]
-        yield positions, expanded, total, size
+        yield positions, expanded
 
         while positions and expanded[positions[-1]]:
-            p = positions.pop()
-            expanded[p] = 0
-            total -= leaf_sum[p]
-            size -= leaf_count[p]
+            expanded[positions.pop()] = 0
         if not positions:
             return
         p = positions[-1]
         expanded[p] = 1
-        total += leaf_sum[p] - w[p]
-        size += leaf_count[p] - 1
         pos = p + 1
 
 
@@ -195,7 +184,7 @@ def enumerate_cuts(
 
     def gen():
         prep = _Prep(t)
-        for positions, expanded, _total, _size in _walk(prep):
+        for positions, expanded in _walk(prep):
             subtree, cut = _rebuild(prep, positions, expanded)
             yield InternalSubtree(frozenset(subtree)), frozenset(cut)
 
@@ -423,12 +412,13 @@ def _best(
     """The best ``(scaled total, size, sorted ids)`` over the cuts of the
     sub-spaces ``prefixes`` (see ``_split``).
 
-    This is ``_walk`` written out, with the decided prefix replayed first
-    and never backtracked. Only a cut that ties or beats the best so far is
-    rebuilt. The cut is kept as one segment per stack entry, ``ends[i]``
-    being where entry ``i``'s segment ends; ``low`` is the lowest stack
-    index that changed since the last rebuild, so a rebuild costs the
-    entries that changed and the sort, not the depth of the stack.
+    This is ``_walk`` written out with the cut's scaled total and size kept
+    alongside, and the decided prefix replayed first and never backtracked.
+    Only a cut that ties or beats the best so far is rebuilt. The cut is
+    kept as one segment per stack entry, ``ends[i]`` being where entry
+    ``i``'s segment ends; ``low`` is the lowest stack index that changed
+    since the last rebuild, so a rebuild costs the entries that changed and
+    the sort, not the depth of the stack.
     """
     order = prep.order
     skip_to = prep.skip_to

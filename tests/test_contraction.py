@@ -317,6 +317,68 @@ class TestDistinctPrimeDenominatorsAtScale:
         assert all(step.merged_into_root for step in state.steps())
 
 
+def _path_rows(n, increasing):
+    return [(f"n{i}", f"n{i + 1}", i + 1 if increasing else n - i) for i in range(n)]
+
+
+def _comb_rows(n):
+    """Spine s0 -> ... -> s(n/2) with weights 1, 2, ..., a tooth of weight
+    n on each spine node but the last, and a tooth of weight 1 on the last."""
+    m = n // 2
+    rows = []
+    for i in range(m):
+        rows.append((f"s{i}", f"s{i + 1}", i + 1))
+        rows.append((f"s{i}", f"t{i}", 2 * m))
+    rows.append((f"s{m}", f"t{m}", 1))
+    return rows
+
+
+def _spine_with_random_leaves_rows(n):
+    """A spine of n/2 edges of weights 1, 2, ... and n/2 leaves hung on
+    random spine nodes, each a little heavier than its spine node's depth,
+    so that Maximize contracts the whole spine at every n."""
+    rng = random.Random(n)
+    m = n // 2
+    rows = [(f"s{i}", f"s{i + 1}", i + 1) for i in range(m)]
+    for j in range(m):
+        d = rng.randint(0, m)
+        rows.append((f"s{d}", f"l{j}", d + rng.randint(1, 3)))
+    return rows
+
+
+_DEEP_SHAPES = {
+    "increasing-path": lambda n: _path_rows(n, True),
+    "increasing-path-reversed": lambda n: _path_rows(n, True)[::-1],
+    "decreasing-path": lambda n: _path_rows(n, False),
+    "decreasing-path-reversed": lambda n: _path_rows(n, False)[::-1],
+    "comb": _comb_rows,
+    "spine-with-random-leaves": _spine_with_random_leaves_rows,
+}
+
+
+class TestLinearGrowthOnDeepShapes:
+    """The union-find links each absorbed head under its tail's name, with
+    path halving but no union by size, so a find costs O(log n) amortized:
+    4x the edges should cost about 4x, and quadratic growth would cost 16x.
+    Reversing a path's lines flips its node ids, and with them the order in
+    which equal-valued edges contract."""
+
+    @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+    def test_growth_is_linear(self, shape):
+        timings = {}
+        for n in (10_000, 40_000):
+            t = quiet_tree(_DEEP_SHAPES[shape](n))
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                results = [optimal_average_cut(t, objective) for objective in Objective]
+                best = min(best, time.perf_counter() - started)
+            for result in results:
+                assert evaluate_cut(t, result.cut) == (result.total, result.size, result.average)
+            timings[n] = best
+        assert timings[40_000] < 8 * timings[10_000], timings
+
+
 class TestEvaluateCut:
     def test_figure_output_cut(self, figure_tree):
         cut = edge_set_by_children(figure_tree, figure_max_cut_children())
@@ -539,6 +601,9 @@ class TestAgainstFractionReference:
                     assert state.root_average == history[-1]
                     assert state.root_average_history() == history
                     for v in range(t.node_count):
+                        # The model renames a head to its tail, so rep[v] is
+                        # the topmost node of v's supernode.
+                        assert state.representative(v) == model.rep[v]
                         assert state.live_out_sum(v) == model.out_sum[model.rep[v]]
                     for f in model.live:
                         assert state.contractibility(f) == model.rank(f)[1]

@@ -314,6 +314,15 @@ class TestCommunities:
         assert part.communities == (frozenset({"9", "10"}), frozenset({"\u00b2", "x"}))
         assert sorted(["x", "\u00b2", "10", "9"], key=_label_key) == ["9", "10", "x", "\u00b2"]
 
+    def test_labels_past_the_int_digit_limit_sort_numerically(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4300
+        # by default); such a label is still a number and sorts after "2".
+        long_label = "1" * 5000
+        t = parse_edgelist(f"r x 1\nx {long_label} 1\nx 2 1\n")
+        part = communities_from_cut(t, {t.node_id("x")})
+        assert part.ordered()[0] == ("2", long_label)
+        assert sorted([long_label, "\u0663", "x"], key=_label_key) == ["\u0663", long_label, "x"]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
