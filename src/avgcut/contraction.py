@@ -38,7 +38,7 @@ from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
-from .rational import exact_str
+from .rational import exact_str, parse_rational
 from .tree import EdgeId, NodeId, RootedTree
 
 _FLOAT_MAX = sys.float_info.max
@@ -75,7 +75,7 @@ class Contractibility:
 
     @classmethod
     def finite(cls, value) -> "Contractibility":
-        value = Fraction(value)
+        value = parse_rational(value) if isinstance(value, str) else Fraction(value)
         return cls(value.numerator, value.denominator)
 
     @property

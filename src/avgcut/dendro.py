@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .oracle import is_valid_cut
-from .rational import echo, exact_str, parse_rational_pair, ratio_str
+from .rational import echo, exact_str, parse_rational, parse_rational_pair, ratio_str
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -61,11 +61,12 @@ class LinkageTable:
     ``left[k]`` and ``right[k]`` join at height ``hnum[k] / hden[k]`` (in
     lowest terms, ``hden[k] >= 1``) into a cluster of ``size[k]`` items.
     ``LinkageTable(n_items=..., merges=...)`` builds the columns from
-    :class:`Merge` rows, whose heights may be anything ``Fraction()``
-    accepts; ``merges`` is the rows' view with Fraction heights, built on
-    first use. Structural validation happens here; that no merge sits below
-    a cluster it absorbs is checked when a tree is synthesized, so that such
-    tables can still be constructed and rejected late with a precise error.
+    :class:`Merge` rows, whose heights may be numbers ``Fraction()`` takes
+    or text in the grammar of :func:`~avgcut.rational.parse_rational`;
+    ``merges`` is the rows' view with Fraction heights, built on first use.
+    Structural validation happens here; that no merge sits below a cluster
+    it absorbs is checked when a tree is synthesized, so that such tables
+    can still be constructed and rejected late with a precise error.
     """
 
     n_items: int
@@ -78,7 +79,7 @@ class LinkageTable:
     def __init__(self, n_items: int, merges: Iterable[Merge]):
         rows = []
         for left, right, height, size in merges:
-            height = Fraction(height)
+            height = parse_rational(height) if isinstance(height, str) else Fraction(height)
             rows.append((left, right, height.numerator, height.denominator, size))
         self._fill(n_items, rows)
 

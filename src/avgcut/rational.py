@@ -3,9 +3,10 @@
 All numeric values in this package are exact: ``fractions.Fraction``
 instances or, in tree weight columns and engine aggregates, pairs of ints.
 Fractions have arbitrary precision, are always in lowest terms with a
-positive denominator, and compare exactly. Weight text is parsed straight to a Fraction
-(``"0.1"`` becomes 1/10), never through binary floating point, so the
-strict comparisons the cut algorithm depends on are never off by an ulp.
+positive denominator, and compare exactly. Weight text is scanned straight
+to an exact ``(num, den)`` pair (``"0.1"`` becomes 1/10), never through
+binary floating point, so the strict comparisons the cut algorithm depends
+on are never off by an ulp.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from fractions import Fraction
 
 from .errors import MalformedWeightError, NegativeWeightError
 
-# ``Fraction("1e-1000000000")`` would build a power of ten with a billion
-# digits, so exponents past this bound are rejected unparsed. At the bound,
-# the power of ten (100,000 digits, about 41 KB) takes milliseconds to build
-# and about 0.2 s to print exactly; printing takes ~100x longer for every 10x
-# more digits.
+# A literal's numerator and denominator, written out unreduced, may have at
+# most this many digits each. So every accepted value prints in runs that
+# read back, and ``1e-1000000000`` is refused before its power of ten (a
+# billion digits) is built. At the bound, a power of ten (about 41 KB) takes
+# milliseconds to build and about 0.2 s to print exactly; printing takes
+# ~100x longer for every 10x more digits.
 MAX_EXPONENT = 100_000
 
 # Error messages quote at most this many characters of an offending literal.
@@ -30,37 +32,20 @@ ECHO_LIMIT = 64
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal of either sign.
 
-    Accepts what ``Fraction(text)`` accepts (integer, decimal, ``p/q`` and
-    exponent forms), except exponents beyond ``MAX_EXPONENT`` in magnitude.
-    Plain ASCII integers, ``digits.digits`` decimals and ``digits/digits``
-    ratios, the common cases, skip Fraction's regular expression, and their
-    digit runs may be as long as ``MAX_EXPONENT`` digits (see
-    :func:`parse_digits`). Raises MalformedWeightError.
+    The grammar, the same on every Python version: optional surrounding
+    whitespace and ``+`` or ``-``, then ``digits/digits`` with a nonzero
+    denominator, or ``digits[.digits]`` (``1.`` and ``.5`` too) with an
+    optional exponent ``e[+|-]digits`` or ``E[+|-]digits``. Digits are what
+    ``str.isdecimal`` accepts, so not ``_``. Written out unreduced as ``p``
+    or ``p/q`` (``2.5e-3`` as ``25/10000``, ``0.5e3`` as ``0500``), each run
+    may have at most ``MAX_EXPONENT`` digits. Raises MalformedWeightError.
     """
-    try:
-        num, den = _plain_pair(text)
-        if den:
-            return Fraction(num, den)
-        _, e, exponent = text.replace("E", "e").rpartition("e")
-        if e:
-            try:
-                too_big = abs(int(exponent)) > MAX_EXPONENT
-            except ValueError:
-                too_big = False  # not an exponent; Fraction rejects or reads it
-            if too_big:
-                raise MalformedWeightError(
-                    f"exponent beyond +-{MAX_EXPONENT} in literal: {echo(text)}"
-                )
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedWeightError(
-            f"not a decimal or p/q rational literal: {echo(text)}"
-        ) from None
+    return Fraction(*_scan(text))
 
 
-def _plain_pair(text: str) -> tuple[int, int]:
-    """``(p, q)``, unreduced, for a plain ASCII integer, ``digits.digits`` or
-    ``digits/digits`` literal; ``q`` is 0 for ``p/0`` and for any other form."""
+def _scan(text: str) -> tuple[int, int]:
+    """``(p, q)``, unreduced with ``q >= 1``, of a :func:`parse_rational`
+    literal; plain ASCII integers, decimals and ratios are tried first."""
     if text.isascii():
         if text.isdigit():
             return parse_digits(text), 1
@@ -68,15 +53,37 @@ def _plain_pair(text: str) -> tuple[int, int]:
         if whole.isdigit() and frac.isdigit():
             return parse_digits(whole + frac), 10 ** len(frac)
         num, _, den = text.partition("/")
-        if num.isdigit() and den.isdigit():
+        if num.isdigit() and den.isdigit() and den.strip("0"):
             return parse_digits(num), parse_digits(den)
-    return 0, 0
+    body = text.strip()
+    signed = body[:1] in ("+", "-")
+    num, slash, den = body[signed:].partition("/")
+    sign = -1 if body[:1] == "-" else 1
+    if slash:
+        if num.isdecimal() and den.isdecimal():
+            num, den = parse_digits(num), parse_digits(den)
+            if den:
+                return sign * num, den
+    else:
+        mantissa, e, exponent = num.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        digits = whole + frac
+        signed = exponent[:1] in ("+", "-")
+        if digits.isdecimal() and (exponent[signed:].isdecimal() or not e):
+            scale = (parse_digits(exponent) if e else 0) - len(frac)
+            if len(digits) + max(scale, 0) > MAX_EXPONENT or scale <= -MAX_EXPONENT:
+                raise MalformedWeightError(
+                    f"more than {MAX_EXPONENT} digits in literal: {echo(text)}"
+                )
+            num = sign * parse_digits(digits)
+            return (num * 10**scale, 1) if scale >= 0 else (num, 10**-scale)
+    raise MalformedWeightError(f"not a decimal or p/q rational literal: {echo(text)}")
 
 
 def parse_digits(digits: str) -> int:
-    """``int(digits)`` for a run of ASCII digits of any length up to
-    ``MAX_EXPONENT``, without raising the interpreter-wide limit
-    ``sys.get_int_max_str_digits()``: runs past it convert through
+    """``int(digits)`` for a run of decimal digits, after at most one sign,
+    up to ``MAX_EXPONENT`` digits long, without raising the interpreter-wide
+    limit ``sys.get_int_max_str_digits()``: runs past it convert through
     ``decimal``, which has none (about 0.4 s at the bound). Raises
     MalformedWeightError for a longer run.
     """
@@ -98,28 +105,17 @@ def echo(text: str) -> str:
 
 
 def parse_weight(text: str) -> Fraction:
-    """Parse a weight literal exactly.
-
-    Accepts integer, decimal (``2.50``), and ``p/q`` rational forms with a
-    positive denominator. Raises MalformedWeightError for anything else and
-    NegativeWeightError for values below zero.
-    """
-    value = parse_rational(text)
-    if value.numerator < 0:
-        raise NegativeWeightError(f"negative weight: {echo(text)}")
-    return value
+    """Parse a weight literal exactly: :func:`parse_rational`, but raises
+    NegativeWeightError for values below zero."""
+    return Fraction(*parse_weight_pair(text))
 
 
 def parse_rational_pair(text: str) -> tuple[int, int]:
     """``parse_rational(text)`` as its reduced ``(numerator, denominator)``,
-    with the same errors; plain literals (see :func:`parse_rational`) are
-    read without building a Fraction."""
-    num, den = _plain_pair(text)
-    if den:
-        g = math.gcd(num, den)
-        return num // g, den // g
-    value = parse_rational(text)
-    return value.numerator, value.denominator
+    with the same errors, read without building a Fraction."""
+    num, den = _scan(text)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def parse_weight_pair(text: str) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from .errors import (
     TreeError,
     ZeroWeightWarning,
 )
-from .rational import exact_str, parse_weight
+from .rational import exact_str, parse_rational, parse_weight
 
 NodeId = int
 EdgeId = int  # the id of the edge's head node
@@ -132,10 +132,11 @@ def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
     """Build a validated RootedTree from (parent, child, weight) label triples.
 
     Node ids follow first appearance; the root is the unique label that never
-    appears as a child. Weights may be Fractions or anything ``Fraction()``
-    accepts. Raises DuplicateParentError when a child label repeats,
-    NotATreeError when the parent relation is not a single rooted tree, and
-    NegativeWeightError for weights below zero.
+    appears as a child. Weights may be numbers ``Fraction()`` takes or text
+    in the grammar of :func:`~avgcut.rational.parse_rational`. Raises
+    MalformedWeightError for other text, DuplicateParentError when a child
+    label repeats, NotATreeError when the parent relation is not a single
+    rooted tree, and NegativeWeightError for weights below zero.
     """
     ids: dict[str, NodeId] = {}
     parent: list[NodeId | None] = []
@@ -143,7 +144,7 @@ def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
     wden: list[int] = []
     for parent_label, child_label, w in edges:
         if type(w) is not Fraction:
-            w = Fraction(w)
+            w = parse_rational(w) if isinstance(w, str) else Fraction(w)
         u = ids.get(parent_label)
         if u is None:
             u = ids[parent_label] = len(parent)

@@ -171,7 +171,7 @@ class TestHugeValues:
         path.write_text("r b 1\nr a 1e-100001\n")
         code, out, err = run(capsys, "cut", "--input", str(path))
         assert code == 1 and out == ""
-        assert err.startswith("error: line 2:") and "exponent" in err
+        assert err.startswith("error: line 2: more than 100000 digits in literal:")
 
     def test_exponent_within_the_bound_prints_exactly(self, capsys, tmp_path):
         path = tmp_path / "tiny.edges"

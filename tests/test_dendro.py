@@ -30,6 +30,7 @@ from avgcut.errors import (
     InvalidCutError,
     LinkageError,
     LinkageIndexError,
+    MalformedWeightError,
     NegativeGapError,
     ParseError,
     ZeroWeightWarning,
@@ -88,6 +89,13 @@ class TestLinkageTable:
     def test_self_merge_rejected(self):
         with pytest.raises(LinkageIndexError):
             make_table([(0, 0, 1, 2), (3, 1, 2, 3)])
+
+    def test_text_heights_follow_the_literal_grammar(self):
+        table = LinkageTable(n_items=2, merges=[Merge(0, 1, " 1.5e-1 ", 2)])
+        assert (table.hnum, table.hden) == ((3,), (20,))
+        for text in ("1 / 2", "1_000", "x", "0x10"):
+            with pytest.raises(MalformedWeightError):
+                LinkageTable(n_items=2, merges=[Merge(0, 1, text, 2)])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(LinkageError):

@@ -106,6 +106,11 @@ class TestBuildTree:
         assert weights == [2, Fraction(1, 3), Fraction(5, 2)]
         assert all(type(w) is Fraction for w in t.weights)
 
+    @pytest.mark.parametrize("text", ["1 / 2", "1_000", "x", "0x10"])
+    def test_text_weights_follow_the_literal_grammar(self, text):
+        with pytest.raises(MalformedWeightError):
+            from_edges([("r", "a", text), ("r", "b", "1")])
+
     def test_negative_fraction_and_int_weights_rejected(self):
         for bad in (-1, Fraction(-1, 3), "-2"):
             with pytest.raises(NegativeWeightError):
