@@ -34,7 +34,6 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import compress
 from math import gcd, lcm
-from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
@@ -233,28 +232,31 @@ class ContractionState:
         # name: their total as _num / _den, and their count. _den is always a
         # positive multiple of the denominator of the supernode's own in-edge
         # weight, so _lam() needs no lcm and a merge needs one. It starts as
-        # the lcm of a node's in- and out-edge denominators.
-        parent = list(tree.parent)
-        parent[root] = root  # any valid index: the root's weight slot is 0
-        dens = list(wd)
+        # the lcm of a node's in- and out-edge denominators; the root's
+        # weight slot is 0/1, so the lcm pass never meets it.
+        parent = tree.parent
+        self._den = dens = list(wd)
         for v in compress(range(n), map((1).__ne__, wd)):
             p = parent[v]
             dens[p] = lcm(dens[p], wd[v])
-        # Each weight as a numerator over its tail's _den, summed per tail.
-        tail_dens = map(dens.__getitem__, parent)
-        scaled_at = list(map(mul, wn, map(floordiv, tail_dens, wd))).__getitem__
-        self._num = [sum(map(scaled_at, kids)) for kids in tree.children]
-        self._den = dens
-        self._cnt = [len(kids) for kids in tree.children]
+        # One pass adds each weight, scaled to its tail's _den, to the tail.
+        self._num = nums = [0] * n
+        self._cnt = cnts = [0] * n
+        for p, w, q in zip(parent, wn, wd):
+            if p is not None:
+                d = dens[p]
+                nums[p] += w if q == d else w * (d // q)
+                cnts[p] += 1
 
         self._gen = [0] * n
-        # Heap entries are (float key, tiebreak, edge, generation). The pair
-        # is _lam(e), inlined to save a method call per edge.
+        # Heap entries are (float key, tiebreak, edge, generation), keyed by
+        # _lam(e) written out here, one method call less per edge.
         sign = self._sign
-        nums, cnts = self._num, self._cnt
         heap = []
         append = heap.append
-        for e in tree.internal_edges():
+        for e in compress(range(n), cnts):
+            if e == root:
+                continue
             d, q = dens[e], wd[e]
             gap = nums[e] - (wn[e] if q == d else wn[e] * (d // q))
             key, tie = _heap_key(sign * gap, d * (cnts[e] - 1))

@@ -35,18 +35,23 @@ def parse_edgelist(text: str) -> RootedTree:
     wnum: list[int] = []
     wden: list[int] = []
     loop = None  # the child label of the first self-loop
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != 3:
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        try:
+            parent_label, child, weight_text = parts
+        except ValueError:  # blank, a comment, or the wrong number of fields
+            if not parts or parts[0][0] == "#":
+                continue
             raise ParseError(
                 f"expected 'parent child weight', got {len(parts)} fields", line=lineno
-            )
-        parent_label, child, weight_text = parts
+            ) from None
+        if parent_label[0] == "#":
+            continue
         try:
             if weight_text.isdigit() and weight_text.isascii():
-                num, den = parse_digits(weight_text), 1
+                try:
+                    num, den = int(weight_text), 1
+                except ValueError:  # past int()'s digit limit
+                    num, den = parse_digits(weight_text), 1
             else:
                 num, den = parse_weight_pair(weight_text)
         except (MalformedWeightError, NegativeWeightError) as err:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from fractions import Fraction
 
 from .errors import MalformedWeightError, NegativeWeightError
@@ -83,9 +84,8 @@ def _scan(text: str) -> tuple[int, int]:
 def parse_digits(digits: str) -> int:
     """``int(digits)`` for a run of decimal digits, after at most one sign,
     up to ``MAX_EXPONENT`` digits long, without raising the interpreter-wide
-    limit ``sys.get_int_max_str_digits()``: runs past it convert through
-    ``decimal``, which has none (about 0.4 s at the bound). Raises
-    MalformedWeightError for a longer run.
+    limit ``sys.get_int_max_str_digits()``: runs past it convert piecewise
+    (about 0.02 s at the bound). Raises MalformedWeightError for a longer run.
     """
     try:
         return int(digits)
@@ -94,7 +94,20 @@ def parse_digits(digits: str) -> int:
             raise MalformedWeightError(
                 f"more than {MAX_EXPONENT} digits in literal: {echo(digits)}"
             ) from None
-        return int(decimal.Decimal(digits))
+    # 0 is no limit; builds without the limit lack the function.
+    leaf = getattr(sys, "get_int_max_str_digits", int)() or len(digits)
+    value = _join_digits(digits[digits[:1] in ("+", "-"):], leaf)
+    return -value if digits[:1] == "-" else value
+
+
+def _join_digits(digits: str, leaf: int) -> int:
+    """``int(digits)`` as ``hi * 10**len(lo) + lo`` over halves, with ``int()``
+    only on runs of at most ``leaf`` digits: subquadratic, where a single
+    ``int(decimal.Decimal(digits))`` is quadratic."""
+    if len(digits) <= leaf:
+        return int(digits)
+    low = len(digits) // 2
+    return _join_digits(digits[:-low], leaf) * 10**low + _join_digits(digits[-low:], leaf)
 
 
 def echo(text: str) -> str:

@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -193,15 +195,19 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
     root = roots[0]
     children = tuple(map(tuple, children))  # frees the lists: a lower peak
 
-    # Every other node has one parent, so walking down from the root meets
-    # each node at most once; it misses the nodes of any cycle.
-    seen = 1
-    level = [root]
-    while level:
-        level = [c for v in level for c in children[v]]
-        seen += len(level)
-    if seen != n:
-        raise NotATreeError("parent relation contains a cycle or unreachable nodes")
+    # Ids in top-down order (the root is 0 and every parent id is below its
+    # child's, as in any edge list read parent-first) rule out a cycle: each
+    # step up lowers the id, so every node reaches the root. Otherwise every
+    # node has one parent, so walking down from the root meets each node at
+    # most once; it misses the nodes of any cycle.
+    if root or not all(map(lt, islice(parent, 1, None), range(1, n))):
+        seen = 1
+        level = [root]
+        while level:
+            level = [c for v in level for c in children[v]]
+            seen += len(level)
+        if seen != n:
+            raise NotATreeError("parent relation contains a cycle or unreachable nodes")
 
     if wnum.count(0) > 1:  # the root's slot is the one zero expected
         warnings.warn("tree contains zero-weight edges", ZeroWeightWarning, stacklevel=3)

@@ -20,7 +20,13 @@ from avgcut import (
     internal_subtree,
     is_valid_cut,
 )
-from avgcut.errors import AvgCutError, MissingBranchLengthError, TreeError, ZeroWeightWarning
+from avgcut.errors import (
+    AvgCutError,
+    MissingBranchLengthError,
+    NotATreeError,
+    TreeError,
+    ZeroWeightWarning,
+)
 
 # The 40-node golden tree: three branches under the root (edge weights 1, 2,
 # 3), each with three mid nodes (weights 2,2,2 / 3,3,3 / 1,1,1), each mid
@@ -145,6 +151,43 @@ def newick_reference(root: list) -> RootedTree:
             triples.append((label, kid[0], kid[1]))
         stack.extend(reversed(kids))
     return quiet_tree(triples)
+
+
+def assemble_reference(ids: dict, parent: list, wnum: list, wden: list) -> RootedTree:
+    """What ``tree._assemble`` must return for the same columns, or raise:
+    the tree, or its NotATreeError, with the acyclicity check always made by
+    a walk down from the root, whatever order the ids are in."""
+    labels = tuple(ids)
+    n = len(labels)
+    roots = [v for v in range(n) if parent[v] is None]
+    if not roots:
+        raise NotATreeError("no root: every label has a parent (cycle)")
+    if len(roots) > 1:
+        names = ", ".join(repr(labels[v]) for v in roots)
+        raise NotATreeError(f"not connected: multiple parentless labels ({names})")
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] is not None:
+            children[parent[v]].append(v)
+    reached = 0
+    stack = roots[:]
+    while stack:
+        reached += 1
+        stack.extend(children[stack.pop()])
+    if reached != n:
+        raise NotATreeError("parent relation contains a cycle or unreachable nodes")
+    if sum(1 for w in wnum if w == 0) > 1:
+        warnings.warn("tree contains zero-weight edges", ZeroWeightWarning)
+    return RootedTree(
+        node_count=n,
+        root=roots[0],
+        parent=tuple(parent),
+        children=tuple(map(tuple, children)),
+        wnum=tuple(wnum),
+        wden=tuple(wden),
+        labels=labels,
+        label_index=ids,
+    )
 
 
 def _primes_from(low: int, count: int) -> list[int]:

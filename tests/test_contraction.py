@@ -21,6 +21,7 @@ from avgcut import (
     run_contraction,
 )
 from avgcut.errors import DeadEdgeError, EmptyCutError, LeafHeadError
+from avgcut.io import edge_rows
 
 from .helpers import (
     edge_set_by_children,
@@ -472,6 +473,19 @@ class _FractionModel:
         return tail == self.rep[self.t.root]
 
 
+def _assert_queries_match(state, model):
+    """Every per-node and per-live-edge query of ``state`` equals the model's."""
+    t = model.t
+    for v in range(t.node_count):
+        # The model renames a head to its tail, so rep[v] is the topmost node
+        # of v's supernode.
+        assert state.representative(v) == model.rep[v]
+        assert state.live_out_sum(v) == model.out_sum[model.rep[v]]
+        assert state.live_out_count(v) == model.out_cnt[model.rep[v]]
+    for f in model.live:
+        assert state.contractibility(f) == model.rank(f)[1]
+
+
 def _reference_run(t, objective):
     """Contraction order and steps from ``_FractionModel`` alone.
 
@@ -572,7 +586,8 @@ class TestAgainstFractionReference:
 
     def test_queries_after_every_contract(self):
         """Contract every internal edge, in random order, through the public
-        ``contract``; after each call every query equals the model's."""
+        ``contract``; straight after construction and after each call every
+        query equals the model's."""
         rng = random.Random(6)
         trees = [random_tree(rng) for _ in range(30)]
         trees += [_mostly_integer_weights(rng, random_tree(rng)) for _ in range(30)]
@@ -585,12 +600,16 @@ class TestAgainstFractionReference:
             )
             for _ in range(10)
         ]
+        # Some of them again from their edges in reverse, so that parents
+        # follow children and ids are not in top-down order.
+        trees += [quiet_tree(reversed(edge_rows(t, t.edges()))) for t in trees[::4]]
         for t in trees:
             for objective in Objective:
                 state = ContractionState(t, objective)
                 model = _FractionModel(t, objective)
                 history = [model.root_average()]
                 assert state.initial_root_average == history[0]
+                _assert_queries_match(state, model)
                 while model.live:
                     e = rng.choice(model.live)
                     lam = model.rank(e)[1]
@@ -600,10 +619,4 @@ class TestAgainstFractionReference:
                     assert state.steps()[-1] == ContractionStep(e, lam, history[-1], merged_root)
                     assert state.root_average == history[-1]
                     assert state.root_average_history() == history
-                    for v in range(t.node_count):
-                        # The model renames a head to its tail, so rep[v] is
-                        # the topmost node of v's supernode.
-                        assert state.representative(v) == model.rep[v]
-                        assert state.live_out_sum(v) == model.out_sum[model.rep[v]]
-                    for f in model.live:
-                        assert state.contractibility(f) == model.rank(f)[1]
+                    _assert_queries_match(state, model)

@@ -1,4 +1,5 @@
 import decimal
+import random
 import re
 import sys
 from fractions import Fraction
@@ -249,7 +250,8 @@ _AT_THE_BOUND = ["9" * MAX_EXPONENT, f"1e-{MAX_EXPONENT - 1}", f".7e{MAX_EXPONEN
 @pytest.mark.filterwarnings("ignore::avgcut.errors.ZeroWeightWarning")
 class TestReadBack:
     """``parse(format(t)) == t``: what the program prints reads back, up to
-    and including values at the digit bound (about 0.6 s each there)."""
+    and including values at the digit bound (about 0.2 s each there, most of
+    it printing)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_WEIGHT_TEXT, min_size=1, max_size=6))
@@ -326,6 +328,40 @@ class TestLongDigitRuns:
         message = str(exc.value)
         assert f"more than {MAX_EXPONENT} digits" in message
         assert len(message) < 150
+
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            None,
+            pytest.param(
+                640,
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+                ),
+            ),
+        ],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sign=st.sampled_from(["", "+", "-"]),
+        zeros=st.integers(0, 50),
+        length=st.integers(4301, 30000),
+        alphabet=st.sampled_from(
+            ["0123456789", "0123456789\u0663\u06f7\u0969", "\u0660\u0661\u0669"]
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_runs_past_the_limit_match_decimal(self, limit, sign, zeros, length, alphabet, seed):
+        rng = random.Random(seed)
+        digits = sign + alphabet[0] * zeros + "".join(rng.choices(alphabet, k=length))
+        before = sys.get_int_max_str_digits() if limit else None
+        try:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+            assert rational.parse_digits(digits) == int(decimal.Decimal(digits))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(before)
 
     def test_malformed_long_literal_is_echoed_short(self):
         with pytest.raises(MalformedWeightError) as exc:

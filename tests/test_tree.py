@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcut import build_tree, from_edges, parse_edgelist
 from avgcut.errors import (
@@ -14,8 +16,9 @@ from avgcut.errors import (
     NotATreeError,
     ZeroWeightWarning,
 )
+from avgcut.tree import _assemble
 
-from .helpers import path_tree, random_tree, star_tree
+from .helpers import assemble_reference, path_tree, random_tree, star_tree
 
 
 class TestBuildTree:
@@ -244,3 +247,59 @@ class TestContractEdge:
             e = t2.edge_by_child(f"b2{j}")
             assert t2.labels[t2.tail(e)] == "v0"
             assert t2.edge_weight(e) == 3
+
+
+@st.composite
+def _parent_columns(draw):
+    """``(parent, wnum)`` columns: a random tree with ids in top-down order
+    or shuffled, then maybe made defective by a cycle, a second root or no
+    root at all."""
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parent = [None] + [rng.randrange(v) for v in range(1, n)]
+    if draw(st.booleans()):
+        perm = rng.sample(range(n), n)
+        shuffled = [None] * n
+        for v, p in enumerate(parent):
+            shuffled[perm[v]] = None if p is None else perm[p]
+        parent = shuffled
+    root = parent.index(None)
+    others = [v for v in range(n) if v != root]
+    defect = draw(st.sampled_from(["none", "none", "cycle", "second root", "no root"]))
+    if defect == "cycle" and others:
+        # Hang a node under itself or one of its descendants.
+        v = rng.choice(others)
+        below = [u for u in range(n) if _reaches(parent, u, v)]
+        parent[v] = rng.choice(below)
+    elif defect == "second root" and others:
+        parent[rng.choice(others)] = None
+    elif defect == "no root":
+        parent[root] = rng.randrange(n)
+    wnum = [0 if p is None else rng.randint(0, 3) for p in parent]
+    return parent, wnum
+
+
+def _reaches(parent, u, v):
+    """Whether ``v`` is ``u`` or an ancestor of ``u`` in a rooted column."""
+    while u is not None and u != v:
+        u = parent[u]
+    return u == v
+
+
+def _assembled(assemble, parent, wnum):
+    """The tree or the error kind and message, and the warnings raised."""
+    ids = {f"n{v}": v for v in range(len(parent))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = assemble(ids, list(parent), list(wnum), [1] * len(parent))
+        except NotATreeError as err:
+            outcome = (type(err), str(err))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+class TestAssemble:
+    @settings(max_examples=300, deadline=None)
+    @given(_parent_columns())
+    def test_matches_a_walk_from_the_root(self, columns):
+        assert _assembled(_assemble, *columns) == _assembled(assemble_reference, *columns)
