@@ -14,13 +14,22 @@ with the numerator. An aggregate grows only with the weights it holds,
 never with one scale shared by the whole tree; on integer weights every
 denominator is 1 and the arithmetic is plain int addition.
 
-One exact type, ``Contractibility``, an unreduced ``(num, den)`` pair
-ordered by cross multiplication, serves both the priority queue and the
-reported values. The queue keys each candidate by the correctly rounded
-float of its exact value, and only two equal floats fall through to the
-pair; rounding is monotone, so the composite key orders exactly while almost
-every comparison stays on machine floats. Infinite contractibilities key as
-float infinities and carry no pair at all.
+The queue keys each candidate by the correctly rounded float of its exact
+value, which is monotone, so only two equal floats need a tiebreak. A run is
+*plain* when every weight is an int and ``max(weight) * n**2 < 2**50``;
+it is decided once, from the tree alone. A plain run's finite
+contractibilities are ``a / b`` with ``1 <= b < n`` and ``|a / b| <=
+2 * max(weight)``, so two distinct ones differ by more than ``1 / n**2``,
+which is more than the float spacing at their size: equal floats mean equal
+values, and a plain run's tiebreak is the constant 0, which hands every tie
+to the edge id. Every other run breaks equal floats with the exact value, a
+``Contractibility``: an unreduced ``(num, den)`` pair ordered by cross
+multiplication, the same type the engine reports. Either way the queue pops
+in (exact value, edge id) order. Infinite contractibilities key as float
+infinities and carry no pair at all. The stop test never reads the key: it
+compares the popped edge's exact pair with the root average. A plain run's
+every ``_den`` stays 1, so it contracts through a loop with the merge
+written out for bare int sums.
 """
 
 from __future__ import annotations
@@ -41,6 +50,9 @@ from .rational import exact_str, parse_rational
 from .tree import EdgeId, NodeId, RootedTree
 
 _FLOAT_MAX = sys.float_info.max
+# A run whose weights are ints with max(weight) * n**2 below this is plain:
+# its finite heap keys order exactly as floats alone.
+_PLAIN_BOUND = 2**50
 
 
 class Objective(Enum):
@@ -215,8 +227,8 @@ class ContractionState:
         self.tree = tree
         self.objective = objective
         self._maximize = objective is Objective.MAXIMIZE
-        # Heap keys and the stop test use the value oriented so that the
-        # min-heap pops the best edge first: negated under MAXIMIZE.
+        # Heap keys use the value oriented so that the min-heap pops the best
+        # edge first: negated under MAXIMIZE.
         self._sign = -1 if self._maximize else 1
         n = tree.node_count
         root = tree.root
@@ -250,7 +262,10 @@ class ContractionState:
 
         self._gen = [0] * n
         # Heap entries are (float key, tiebreak, edge, generation), keyed by
-        # _lam(e) written out here, one method call less per edge.
+        # _lam(e) written out here, one method call less per edge. A plain
+        # run's floats order exactly (see the module docstring), so a finite
+        # value takes the tiebreak 0 and no Contractibility is built.
+        self._plain = plain = wd.count(1) == n and max(wn) * n * n < _PLAIN_BOUND
         sign = self._sign
         heap = []
         append = heap.append
@@ -258,9 +273,13 @@ class ContractionState:
             if e == root:
                 continue
             d, q = dens[e], wd[e]
-            gap = nums[e] - (wn[e] if q == d else wn[e] * (d // q))
-            key, tie = _heap_key(sign * gap, d * (cnts[e] - 1))
-            append((key, tie, e, 0))
+            gap = sign * (nums[e] - (wn[e] if q == d else wn[e] * (d // q)))
+            den = d * (cnts[e] - 1)
+            if plain and den:
+                append((gap / den, 0, e, 0))
+            else:
+                key, tie = _heap_key(gap, den)
+                append((key, tie, e, 0))
         heapq.heapify(heap)
         self._heap = heap
 
@@ -393,13 +412,13 @@ class ContractionState:
             raise DeadEdgeError(f"edge {e} was already contracted")
         if not self.tree.children[e]:
             raise LeafHeadError(f"edge {e} ends in a leaf and cannot be contracted")
-        self._merge(e)
+        self._merge(e, *self._lam(e))
 
-    def _merge(self, e: EdgeId) -> None:
-        """:meth:`contract` for an edge known to be live and internal."""
+    def _merge(self, e: EdgeId, lam_num: int, lam_den: int) -> None:
+        """:meth:`contract` for an edge known to be live and internal, whose
+        contractibility is ``_lam(e) == (lam_num, lam_den)``."""
         nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
         u = self._find(self.tree.parent[e])  # type: ignore[arg-type]
-        lam_num, lam_den = self._lam(e)
 
         # The merged total is out_sum(u) - weight(e) + out_sum(e), which is
         # out_sum(u) + lam_num / _den[e], over lcm(_den[u], _den[e]).
@@ -433,32 +452,83 @@ class ContractionState:
             # A new generation invalidates every queued entry for u's in-edge.
             gen = self._gen[u] = self._gen[u] + 1
             u_num, u_den = self._lam(u)
-            key, tie = _heap_key(self._sign * u_num, u_den)
+            u_num *= self._sign
+            if self._plain and u_den:
+                key, tie = u_num / u_den, 0
+            else:
+                key, tie = _heap_key(u_num, u_den)
             heapq.heappush(self._heap, (key, tie, u, gen))
         self._steps.append((e, lam_num, lam_den, nums[root], dens[root], cnts[root], u == root))
 
     def run(self) -> None:
         """Contract best-first until no live edge strictly beats the root average."""
+        if self._plain:
+            self._run_plain()
+            return
         heap, uf, gen = self._heap, self._uf, self._gen
         nums, dens, cnts = self._num, self._den, self._cnt
-        sign, merge, heappop = self._sign, self._merge, heapq.heappop
+        maximize, lam, merge, heappop = self._maximize, self._lam, self._merge, heapq.heappop
         root = self.tree.root
         while heap:
             entry = heappop(heap)
             e = entry[2]
             if uf[e] != e or entry[3] != gen[e]:
                 continue  # stale: contracted, or requeued since
-            # Stop unless the oriented value is strictly below the oriented
-            # root average; of the infinities only -inf is.
-            tie = entry[1]
-            if tie is None:
-                beats = entry[0] < 0
+            # Stop unless the value strictly beats the root average; of the
+            # infinities only the one whose oriented key is -inf does.
+            lam_num, lam_den = lam(e)
+            if lam_den:
+                lhs = lam_num * (dens[root] * cnts[root])
+                rhs = nums[root] * lam_den
+                beats = lhs > rhs if maximize else lhs < rhs
             else:
-                beats = tie.num * (dens[root] * cnts[root]) < sign * nums[root] * tie.den
+                beats = entry[0] < 0
             if not beats:
                 heapq.heappush(heap, entry)  # keep the queue complete
                 return
-            merge(e)  # queued edges are live and internal
+            merge(e, lam_num, lam_den)  # queued edges are live and internal
+
+    def _run_plain(self) -> None:
+        """:meth:`run` on a plain tree, with :meth:`_lam`, :meth:`_find` and
+        :meth:`_merge` written out: every ``_den`` stays 1 and no weight has
+        a factor to cancel, so each aggregate is a bare int sum."""
+        heap, uf, gen, steps = self._heap, self._uf, self._gen, self._steps
+        nums, cnts, wn, parent = self._num, self._cnt, self._wn, self.tree.parent
+        maximize, sign = self._maximize, self._sign
+        heappop, heappush = heapq.heappop, heapq.heappush
+        root = self.tree.root
+        while heap:
+            entry = heappop(heap)
+            e = entry[2]
+            if uf[e] != e or entry[3] != gen[e]:
+                continue  # stale: contracted, or requeued since
+            lam_num = nums[e] - wn[e]
+            lam_den = cnts[e] - 1
+            if lam_den:
+                lhs = lam_num * cnts[root]
+                rhs = nums[root] * lam_den
+                beats = lhs > rhs if maximize else lhs < rhs
+            else:
+                beats = entry[0] < 0
+            if not beats:
+                heappush(heap, entry)  # keep the queue complete
+                return
+            u = parent[e]
+            while uf[u] != u:
+                uf[u] = uf[uf[u]]
+                u = uf[u]
+            uf[e] = u
+            nums[u] += lam_num
+            cnts[u] += lam_den
+            if u != root:
+                g = gen[u] = gen[u] + 1
+                u_num = sign * (nums[u] - wn[u])
+                u_den = cnts[u] - 1
+                if u_den:
+                    heappush(heap, (u_num / u_den, 0, u, g))
+                else:
+                    heappush(heap, (-math.inf if u_num < 0 else math.inf, None, u, g))
+            steps.append((e, lam_num, lam_den, nums[root], 1, cnts[root], u == root))
 
     def result(self) -> CutResult:
         root = self.tree.root

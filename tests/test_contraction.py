@@ -20,6 +20,7 @@ from avgcut import (
     parse_linkage_csv,
     run_contraction,
 )
+from avgcut import contraction
 from avgcut.errors import DeadEdgeError, EmptyCutError, LeafHeadError
 from avgcut.io import edge_rows
 
@@ -521,6 +522,34 @@ def _mostly_integer_weights(rng, t):
     return quiet_tree(rows)
 
 
+def _near_the_plain_bound(rng, t, offset):
+    """``t`` with integer weights whose maximum is ``2**50 // n**2 + offset``,
+    ``n`` being ``t``'s node count, drawn mostly next to that maximum, 0 and
+    1, so that contractibilities crowd together."""
+    top = 2**50 // t.node_count**2 + offset
+    pool = (top, top - 1, top - 2, top // 2, top // 3, 0, 1)
+    rows = []
+    for e in t.edges():
+        w = rng.choice(pool) if rng.random() < 0.8 else rng.randint(0, top)
+        rows.append((t.labels[t.tail(e)], t.labels[e], Fraction(w)))
+    k = rng.randrange(len(rows))
+    rows[k] = (*rows[k][:2], Fraction(top))  # the maximum, once at least
+    return quiet_tree(rows)
+
+
+# Two siblings whose contractibilities, 2**53 on x and 2**53 + 1 on y, round
+# to one float; x has the lower edge id, and the root average (2**54 + 1) / 2
+# lies between them, so each objective contracts exactly one of the two.
+_SIBLINGS_ONE_FLOAT = [
+    ("r", "x", Fraction(2**53)),
+    ("r", "y", Fraction(2**53 + 1)),
+    ("x", "a", Fraction(2**53)),
+    ("x", "b", Fraction(2**53)),
+    ("y", "c", Fraction(2**53 + 1)),
+    ("y", "d", Fraction(2**53 + 1)),
+]
+
+
 def _with_huge_weights(rng, t):
     """``t`` with some weights replaced by values past the float range or
     below its smallest subnormal, plus one more leaf edge of weight 1e400."""
@@ -568,6 +597,29 @@ class TestAgainstFractionReference:
             self._check(_mostly_integer_weights(rng, random_tree(rng)))
         for _ in range(8):
             self._check(_mostly_integer_weights(rng, random_tree(rng, 100, 250)))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_integer_weights_across_the_plain_bound(self, offset):
+        # At offset 1 the maximum weight times n**2 reaches 2**50, so the run
+        # is not plain and its equal floats fall through to exact pairs.
+        rng = random.Random(8 + offset)
+        trees = [random_tree(rng) for _ in range(40)]
+        trees += [random_tree(rng, 100, 250) for _ in range(4)]
+        for t in trees:
+            t = _near_the_plain_bound(rng, t, offset)
+            n = t.node_count
+            plain = {-1: True, 0: 2**50 % (n * n) != 0, 1: False}[offset]
+            assert ContractionState(t)._plain is plain
+            self._check(t)
+
+    def test_siblings_one_float_apart_above_the_bound(self):
+        t = quiet_tree(_SIBLINGS_ONE_FLOAT)
+        x, y = t.edge_by_child("x"), t.edge_by_child("y")
+        assert x < y and float(2**53 + 1) == float(2**53)
+        assert not ContractionState(t)._plain
+        assert optimal_average_cut(t, Objective.MAXIMIZE).contractions == (y,)
+        assert optimal_average_cut(t, Objective.MINIMIZE).contractions == (x,)
+        self._check(t)
 
     def test_distinct_prime_denominators_at_1500_nodes(self):
         t = prime_denominator_tree(random.Random(5), n_nodes=1500)
@@ -620,3 +672,59 @@ class TestAgainstFractionReference:
                     assert state.root_average == history[-1]
                     assert state.root_average_history() == history
                     _assert_queries_match(state, model)
+
+
+class _CountingContractibility(Contractibility):
+    """A ``Contractibility`` that counts how many were built."""
+
+    built = 0
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+
+class TestPlainKeys:
+    """On plain runs (int weights, ``max(weight) * n**2 < 2**50``) finite heap
+    entries are ``(float, 0, edge, generation)``; all other runs break equal
+    floats with the exact ``Contractibility``."""
+
+    @staticmethod
+    def _keying_builds(monkeypatch, t, objective):
+        """Contractibilities built by ``ContractionState(t)`` and ``run()``,
+        and the finished state."""
+        monkeypatch.setattr(contraction, "Contractibility", _CountingContractibility)
+        _CountingContractibility.built = 0
+        state = ContractionState(t, objective)
+        entries = list(state._heap)
+        state.run()
+        return _CountingContractibility.built, entries + state._heap, state
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_plain_runs_build_no_contractibility(self, monkeypatch, objective):
+        rng = random.Random(9)
+        rows = [("n0", "n1", Fraction(1))]
+        for i in range(2, 400):
+            rows.append((f"n{rng.randrange(i)}", f"n{i}", Fraction(rng.randint(1, 1000))))
+        for t in (quiet_tree(rows), path_tree(3, 1, 4, 1, 5)):
+            built, entries, state = self._keying_builds(monkeypatch, t, objective)
+            assert state._plain and state.contractions
+            assert built == 0
+            for key, tie, _, _ in entries:
+                assert tie == (None if math.isinf(key) else 0)
+                assert type(tie) is not _CountingContractibility
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_other_runs_break_ties_with_exact_pairs(self, monkeypatch, objective):
+        past_the_bound = _near_the_plain_bound(random.Random(10), random_tree(random.Random(11)), 1)
+        rational = quiet_tree([("r", "a", Fraction(1, 2)), ("a", "b", Fraction(3)), ("a", "c", Fraction(1))])
+        for t in (quiet_tree(_SIBLINGS_ONE_FLOAT), past_the_bound, rational):
+            built, entries, state = self._keying_builds(monkeypatch, t, objective)
+            assert not state._plain
+            assert built > 0
+            for key, tie, _, _ in entries:
+                if math.isinf(key):
+                    assert tie is None
+                else:
+                    assert type(tie) is _CountingContractibility
+                    assert float(tie.value) == key

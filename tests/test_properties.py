@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants the engine relies on."""
 
 import heapq
+import math
 import sys
 from fractions import Fraction
 
@@ -268,6 +269,115 @@ def _reference_rank(num_o, den_o, scale):
     if den_o == 0:
         return (-1, Fraction(0)) if num_o < 0 else (1, Fraction(0))
     return (0, Fraction(num_o, den_o * scale))
+
+
+_PLAIN_BOUND = 2**50
+
+
+def _plain_numerator(draw, b, top):
+    """A numerator of a plain run's contractibility over ``b``: the gap
+    ``out_sum - weight`` lies in ``[-top, (b + 1) * top]``; often at an end."""
+    low, high = -top, (b + 1) * top
+    return draw(st.one_of(st.sampled_from((low, 0, high)), st.integers(low, high)))
+
+
+def _closest_neighbour(a1, b1, b2):
+    """``(a1', a2)`` with ``a1' / b1 - a2 / b2 == 1 / (b1 * b2)``, the closest
+    two distinct values over these denominators can be, ``a1'`` at most
+    ``b1`` below ``a1``; None when ``b1`` and ``b2`` share a factor."""
+    if math.gcd(b1, b2) != 1:
+        return None
+    a1 -= (a1 - pow(b2, -1, b1)) % b1 if b1 > 1 else 0
+    return a1, (a1 * b2 - 1) // b1
+
+
+@st.composite
+def plain_pairs(draw):
+    """``[(a, b), ...]`` inside a plain run's bound for some ``n`` and top
+    weight ``M``: ``M * n**2 < 2**50``, ``1 <= b < n`` and ``-M <= a <= (b +
+    1) * M``. ``n`` and ``M`` are often at their largest and ``a`` and ``b``
+    at their ends; pairs that differ by exactly ``1 / (b1 * b2)`` are mixed
+    in, and either sign, as the orientation under MAXIMIZE negates every
+    value."""
+    n = draw(st.one_of(
+        st.sampled_from((2, 3, 2**10 + 1, 2**20, 2**24 + 1, 2**25 - 1)),
+        st.integers(min_value=2, max_value=2**25 - 1),
+    ))
+    top = (_PLAIN_BOUND - 1) // (n * n)
+    top = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top)))
+    dens = st.one_of(st.sampled_from((1, max(1, n - 2), n - 1)), st.integers(1, n - 1))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        b1, b2 = draw(dens), draw(dens)
+        a1 = _plain_numerator(draw, b1, top)
+        pairs.append((a1, b1))
+        near = _closest_neighbour(a1, b1, b2)
+        if near is not None and -top <= near[0] and -top <= near[1] <= (b2 + 1) * top:
+            pairs += [(near[0], b1), (near[1], b2)]
+    return [(draw(st.sampled_from((-1, 1))) * a, b) for a, b in pairs]
+
+
+@st.composite
+def plain_heads(draw):
+    """``(tree, [(head label, a, b), ...])``: a plain tree whose root has
+    one leaf of the top weight ``M`` and heads ``h0, h1, ...``; head ``hi``
+    has ``b + 1`` leaf children and contractibility ``a / b``, or an
+    infinity at ``b == 0``. ``M`` is often the largest the node count
+    allows, ``a`` is often at an end of its range, and some heads repeat
+    an earlier head's value as ``2a / 2b``."""
+    dens = [draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=40)))
+            for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    twins = [i for i, b in enumerate(dens) if b and draw(st.booleans())]
+    dens += [2 * dens[i] for i in twins]
+    n = 2 + len(dens) + sum(b + 1 for b in dens)
+    top = (_PLAIN_BOUND - 1) // (n * n)
+    top = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top)))
+    values = [(_plain_numerator(draw, b, top), b) for b in dens[:len(dens) - len(twins)]]
+    for i in twins:
+        a, b = values[i]
+        twin = 2 * a
+        if not -top <= twin <= (2 * b + 1) * top:
+            twin = _plain_numerator(draw, 2 * b, top)
+        values.append((twin, 2 * b))
+    rows = [("r", "top", Fraction(top))]
+    for i, (a, b) in enumerate(values):
+        rows.append(("r", f"h{i}", Fraction(max(-a, 0))))
+        rest = max(a, 0)
+        for j in range(b + 1):
+            w = min(rest, top)
+            rest -= w
+            rows.append((f"h{i}", f"h{i}.{j}", Fraction(w)))
+    heads = [(f"h{i}", a, b) for i, (a, b) in enumerate(values)]
+    return quiet_tree(draw(st.permutations(rows))), heads
+
+
+class TestPlainKeys:
+    """A plain run keys a finite contractibility by its float alone."""
+
+    @PROPERTY_SETTINGS
+    @given(plain_pairs())
+    def test_float_key_is_injective_and_orders_exactly(self, pairs):
+        for a1, b1 in pairs:
+            for a2, b2 in pairs:
+                exact_1, exact_2 = Fraction(a1, b1), Fraction(a2, b2)
+                assert (a1 / b1 == a2 / b2) == (exact_1 == exact_2)
+                assert (a1 / b1 < a2 / b2) == (exact_1 < exact_2)
+
+    @PROPERTY_SETTINGS
+    @given(plain_heads())
+    def test_heap_entries_pop_by_exact_value_then_edge_id(self, case):
+        t, heads = case
+        for objective in Objective:
+            state = ContractionState(t, objective)
+            assert state._plain
+            sign = -1 if objective is Objective.MAXIMIZE else 1
+            ranks = {t.edge_by_child(h): _reference_rank(sign * a, b, 1) for h, a, b in heads}
+            entries = list(state._heap)
+            for _, tie, e, _ in entries:
+                assert tie == (None if ranks[e][0] else 0)  # class 0: finite
+            heapq.heapify(entries)
+            popped = [heapq.heappop(entries)[2] for _ in heads]
+            assert popped == sorted(ranks, key=lambda e: (ranks[e], e))
 
 
 class TestOrderingInternals:
