@@ -11,6 +11,7 @@ import gc
 import hashlib
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,7 +214,9 @@ def run_cli(argv=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
         try:
-            return args.handler(args)
+            with warnings.catch_warnings():  # a warning is one line, like an error
+                warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+                return args.handler(args)
         except TooManyCutsError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -551,7 +551,8 @@ def run_contraction(t: RootedTree, objective: Objective = Objective.MAXIMIZE) ->
 
 
 def optimal_average_cut(t: RootedTree, objective: Objective = Objective.MAXIMIZE) -> CutResult:
-    """The root-separating cut of optimal average weight, in original edge ids."""
+    """The root-separating cut of optimal average weight, in original edge
+    ids: of the optimal cuts, the one whose internal subtree has fewest nodes."""
     return run_contraction(t, objective).result()
 
 

@@ -13,10 +13,12 @@ only when a caller needs it (see ``_walk``). ``brute_force_optimum`` splits
 the cut space into disjoint sub-spaces, each a fixed prefix of the walk's
 decisions whose size is known exactly from the per-node cut counts, and
 walks them on every CPU the process may use: one forked child per extra
-CPU, each sending back its best cut. It forks only where ``os.fork``
-exists, no other thread runs, and every process gets at least
+CPU, each sending back only its best average. It forks only where
+``os.fork`` exists, no other thread runs, and every process gets at least
 ``_FORK_MIN_CUTS`` cuts; otherwise the same walker takes every sub-space in
-this process. The tie-break makes the answer independent of the split.
+this process. One last pass at the best average derives the optimal cut
+whose internal subtree has the fewest nodes (see ``_least_cut``), so the
+answer does not depend on the split.
 Everything else here favors being obviously correct over being fast; the
 module exists to check the contraction engine, not to replace it.
 """
@@ -228,12 +230,13 @@ def internal_subtree(t: RootedTree, cut) -> InternalSubtree:
 def brute_force_optimum(
     t: RootedTree, objective: Objective = Objective.MAXIMIZE, limit: int = DEFAULT_CUT_LIMIT
 ) -> CutResult:
-    """Evaluate every cut and return one attaining the optimal average.
+    """Evaluate every cut and return the optimal cut whose internal subtree
+    has the fewest nodes.
 
-    Ties go to the lexicographically smallest sorted edge-id list, so the
-    result is deterministic independent of enumeration order, and so of how
-    the cut space was split between processes. ``cut_count`` on the result
-    is the number of cuts evaluated.
+    That cut is unique: it lies inside every other optimal subtree. It is
+    the cut ``optimal_average_cut`` returns, whatever the enumeration order
+    and however the cut space was split between processes. ``cut_count`` on
+    the result is the number of cuts evaluated.
     """
     counts = _node_counts(t)
     cuts = counts[t.root]
@@ -241,11 +244,13 @@ def brute_force_optimum(
     prep = _Prep(t)
     maximize = objective is Objective.MAXIMIZE
     shares = _split(prep, counts, _workers(cuts))
-    best_total, best_size, best_ids = _walk_shares(prep, shares, maximize)
+    best_total, best_size = _walk_shares(prep, shares, maximize)
+    # The derived cut's total and size; the walk's winner may be a tied cut.
+    cut = _least_cut(prep, best_total, best_size, maximize)
     return CutResult(
-        cut=frozenset(best_ids),
-        total=Fraction(best_total, prep.scale),
-        size=best_size,
+        cut=frozenset(cut),
+        total=Fraction(best_total * len(cut), best_size * prep.scale),
+        size=len(cut),
         average=Fraction(best_total, best_size * prep.scale),
         contractions=(),
         cut_count=cuts,
@@ -324,16 +329,13 @@ def _subspace_cuts(prep: _Prep, counts: list[int], q: int) -> int:
     return n
 
 
-def _walk_shares(
-    prep: _Prep, shares: list[list[bytes]], maximize: bool
-) -> tuple[int, int, list[EdgeId]]:
-    """The best ``(scaled total, size, sorted ids)`` over every share.
+def _walk_shares(prep: _Prep, shares: list[list[bytes]], maximize: bool) -> tuple[int, int]:
+    """A ``(scaled total, size)`` at the best average over every share.
 
     The first share is walked here and each other one in a forked child,
     which sends its best back through a pipe as ``marshal`` bytes. A share
     whose pipe or fork fails, or whose child does not exit 0, is walked
-    here too.
-    Every child is reaped before this returns or raises.
+    here too. Every child is reaped before this returns or raises.
     """
     mine = list(shares[0])
     children: list[tuple[int, int, list[bytes]]] = []  # (pid, read end, share)
@@ -382,13 +384,7 @@ def _walk_shares(
                 with suppress(OSError):
                     os.waitpid(pid, 0)
 
-    best = bests[0]
-    for total, size, ids in bests[1:]:
-        lhs, rhs = total * best[1], best[0] * size
-        better = ids < best[2] if lhs == rhs else (lhs > rhs) == maximize
-        if better:
-            best = (total, size, ids)
-    return best
+    return (max if maximize else min)(bests, key=lambda best: Fraction(*best))
 
 
 def _child(prep: _Prep, share: list[bytes], maximize: bool, r: int, w: int) -> None:
@@ -406,52 +402,33 @@ def _child(prep: _Prep, share: list[bytes], maximize: bool, r: int, w: int) -> N
         os._exit(code)
 
 
-def _best(
-    prep: _Prep, prefixes: list[bytes], maximize: bool
-) -> tuple[int, int, list[EdgeId]]:
-    """The best ``(scaled total, size, sorted ids)`` over the cuts of the
-    sub-spaces ``prefixes`` (see ``_split``).
+def _best(prep: _Prep, prefixes: list[bytes], maximize: bool) -> tuple[int, int]:
+    """The ``(scaled total, size)`` of the first cut found at the best
+    average over the cuts of the sub-spaces ``prefixes`` (see ``_split``).
 
     This is ``_walk`` written out with the cut's scaled total and size kept
     alongside, and the decided prefix replayed first and never backtracked.
-    Only a cut that ties or beats the best so far is rebuilt. The cut is
-    kept as one segment per stack entry, ``ends[i]`` being where entry
-    ``i``'s segment ends; ``low`` is the lowest stack index that changed
-    since the last rebuild, so a rebuild costs the entries that changed and
-    the sort, not the depth of the stack.
+    No cut is built: ``_least_cut`` derives one from the best average.
     """
-    order = prep.order
-    skip_to = prep.skip_to
-    w = prep.w
-    leaf_sum = prep.leaf_sum
-    leaf_count = prep.leaf_count
-    leaf_edges = prep.leaf_edges
+    w, leaf_sum, leaf_count, skip_to = prep.w, prep.leaf_sum, prep.leaf_count, prep.skip_to
     m = len(skip_to)
 
-    # A best of average -1 (maximize) or +infinity (minimize): the first cut
-    # beats it, and nothing ties it, so its ids are never compared.
+    # Average -1 (maximize) or +infinity (minimize): the first cut beats it.
     best_total, best_size = (-1, 1) if maximize else (1, 0)
-    best_ids: list[EdgeId] = []
     for prefix in prefixes:
         total, size = prep.base
-        cut = list(prep.root_leaves)
         pos = 0
         for expand in prefix:
             if expand:
                 total += leaf_sum[pos]
                 size += leaf_count[pos]
-                cut.extend(leaf_edges[pos])
                 pos += 1
             else:
                 total += w[pos]
                 size += 1
-                cut.append(order[pos])
                 pos = skip_to[pos]
-        floor = len(cut)
         positions: list[int] = []
         expanded = bytearray(m)
-        ends: list[int] = []
-        low = 0
         while True:
             while pos < m:
                 total += w[pos]
@@ -460,19 +437,8 @@ def _best(
                 pos = skip_to[pos]
 
             lhs, rhs = total * best_size, best_total * size
-            if lhs == rhs or (lhs > rhs) == maximize:
-                del cut[ends[low - 1] if low else floor:]
-                del ends[low:]
-                for p in positions[low:]:
-                    if expanded[p]:
-                        cut.extend(leaf_edges[p])
-                    else:
-                        cut.append(order[p])
-                    ends.append(len(cut))
-                low = len(positions)
-                ids = sorted(cut)
-                if lhs != rhs or ids < best_ids:
-                    best_ids, best_total, best_size = ids, total, size
+            if lhs > rhs if maximize else lhs < rhs:
+                best_total, best_size = total, size
 
             while positions and expanded[positions[-1]]:
                 p = positions.pop()
@@ -486,7 +452,36 @@ def _best(
             total += leaf_sum[p] - w[p]
             size += leaf_count[p] - 1
             pos = p + 1
-            top = len(positions) - 1
-            if top < low:
-                low = top
-    return best_total, best_size, best_ids
+    return best_total, best_size
+
+
+def _least_cut(prep: _Prep, total: int, size: int, maximize: bool) -> list[EdgeId]:
+    """The optimal cut whose internal subtree has the fewest nodes, at the
+    optimal average ``total / size`` of scaled weights.
+
+    With ``x = w * size - total`` per edge (negated to minimize), every
+    cut's ``x`` sum is at most 0, and 0 exactly on the optimal cuts
+    (Dinkelbach, 1967). Bottom-up, a node's ``g`` is the larger of its
+    edge's ``x`` and its out-edges' ``g`` sum; expanding only on a strictly
+    larger sum keeps the optimal subtree that lies inside all the others.
+    """
+    a, b = (size, total) if maximize else (-size, -total)
+    w, leaf_sum, leaf_count, skip_to = prep.w, prep.leaf_sum, prep.leaf_count, prep.skip_to
+    m = len(skip_to)
+    g = [0] * m
+    expanded = bytearray(m)
+    for p in range(m - 1, -1, -1):  # reverse preorder: children first
+        x = w[p] * a - b
+        out = leaf_sum[p] * a - leaf_count[p] * b
+        q = p + 1
+        while q < skip_to[p]:  # the internal children of position p
+            out += g[q]
+            q = skip_to[q]
+        expanded[p] = out > x
+        g[p] = max(out, x)
+    positions = []
+    pos = 0
+    while pos < m:
+        positions.append(pos)
+        pos = pos + 1 if expanded[pos] else skip_to[pos]
+    return _rebuild(prep, positions, expanded)[1]

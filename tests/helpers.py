@@ -383,29 +383,28 @@ def brute_force_reference(
 ) -> CutResult:
     """``brute_force_optimum`` over the set-and-list walk of
     ``enumerate_reference``: every cut is compared by cross-multiplication
-    against the best so far, and a tie goes to the lexicographically smallest
-    sorted edge-id list. No cut limit is applied.
+    against the best so far, and a tie goes to the cut whose internal
+    subtree has fewer nodes. No cut limit is applied.
     """
     prep = _ReferencePrep(t)
     maximize = objective is Objective.MAXIMIZE
 
     best_cut: frozenset[int] | None = None
-    best_ids: tuple[int, ...] = ()
+    best_nodes = 0
     best_total = 0
     best_size = 1
-    for _subtree, cut, total, size in _reference_walk(t, prep):
+    for subtree, cut, total, size in _reference_walk(t, prep):
         if best_cut is None:
             better = True
         else:
             lhs, rhs = total * best_size, best_total * size
             if lhs == rhs:
-                ids = tuple(sorted(cut))
-                better = ids < best_ids
+                better = len(subtree) < best_nodes
             else:
                 better = lhs > rhs if maximize else lhs < rhs
         if better:
             best_cut = frozenset(cut)
-            best_ids = tuple(sorted(cut))
+            best_nodes = len(subtree)
             best_total = total
             best_size = size
 

@@ -90,7 +90,7 @@ def test_criterion_2_oracle_equivalence(corpus, capsys):
         for objective in Objective:
             fast = optimal_average_cut(t, objective)
             slow = brute_force_optimum(t, objective)
-            if fast.average != slow.average:
+            if (fast.cut, fast.average) != (slow.cut, slow.average):
                 mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 60.0
@@ -98,8 +98,8 @@ def test_criterion_2_oracle_equivalence(corpus, capsys):
         _verdict(
             2,
             ok,
-            f"{len(corpus)} trees x both objectives agree with the oracle exactly "
-            f"({mismatches} mismatches) in {elapsed:.1f} s",
+            f"{len(corpus)} trees x both objectives agree with the oracle exactly, "
+            f"cut and average ({mismatches} mismatches) in {elapsed:.1f} s",
         )
 
 

@@ -20,9 +20,11 @@ from avgcut import (
     communities_from_cut,
     linkage_to_tree,
     optimal_average_cut,
+    parse_edgelist,
     parse_linkage_csv,
 )
 from avgcut.cli import run_cli
+from avgcut.errors import ZeroWeightWarning
 from avgcut.dendro import _label_key
 
 from .helpers import figure_edge_rows, random_linkage_csv
@@ -298,6 +300,24 @@ class TestCountCommand:
         )
         assert code == 0 and err == ""
         assert parse_report(out)["cut_count"] == "729"
+
+
+class TestZeroWeightWarning:
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("cut", "average", "1/2"), ("oracle", "average", "1/2"), ("count", "cut_count", "1")],
+    )
+    def test_one_warning_line_on_each_run(self, capsys, tmp_path, command, key, value):
+        text = "r a 0\nr b 1\n"
+        path = tmp_path / "zero.edges"
+        path.write_text(text)
+        for _ in range(2):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code == 0
+            assert err == "warning: tree contains zero-weight edges\n"
+            assert parse_report(out)[key] == value
+        with pytest.warns(ZeroWeightWarning):
+            parse_edgelist(text)
 
 
 class TestClusterCommand:

@@ -39,7 +39,8 @@ from .helpers import (
     star_tree,
 )
 
-# The first cut enumerated, {a, d}, ties with the other two but is not the
+# The three cuts tie. The first enumerated, {a, d}, is the only one whose
+# internal subtree is the root alone, though its sorted ids are not the
 # lexicographically smallest: ids are b=0, e=1, a=2, c=3, r=4, d=5.
 _TIE_TEXT = "b e 1\na b 1\na c 1\nr a 1\nr d 1\n"
 
@@ -187,7 +188,7 @@ class TestBruteForce:
         assert all(evaluate_cut(t, cut)[2] == 1 for cut in cuts)
         for obj in Objective:
             result = brute_force_optimum(t, obj)
-            assert result.cut == frozenset({0, 3, 5})
+            assert result.cut == frozenset({2, 5})
             assert result.average == 1
 
     def test_agrees_with_contraction_on_figure(self, figure_tree):
@@ -340,14 +341,12 @@ def _follows(prep, prefix, subtree):
 
 
 def _best_of(t, prep, cuts, objective):
-    """(scaled total, size, sorted ids) of the best of ``cuts``, by the
-    oracle's rule: best average, then the smallest sorted id list."""
-    averages = {cut: evaluate_cut(t, cut)[2] for cut in cuts}
+    """(scaled total, size) of the first of ``cuts``, in the order given,
+    that attains their best average."""
+    averages = [evaluate_cut(t, cut)[2] for cut in cuts]
     pick = max if objective is Objective.MAXIMIZE else min
-    best = pick(averages.values())
-    ids = min(sorted(cut) for cut, average in averages.items() if average == best)
-    total, size, _ = evaluate_cut(t, ids)
-    return total * prep.scale, size, ids
+    total, size, _ = evaluate_cut(t, cuts[averages.index(pick(averages))])
+    return total * prep.scale, size
 
 
 class TestSubSpaces:
@@ -526,16 +525,27 @@ class TestParallelWalk:
         assert not thread.is_alive()
         assert result == brute_force_reference(figure_tree)
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(t=tie_heavy_trees(), objective=st.sampled_from(list(Objective)))
+    def test_engine_oracle_and_reference_return_one_cut(self, cpus, t, objective):
+        with _forced_workers(cpus):
+            result = brute_force_optimum(t, objective)
+        _assert_no_children()
+        assert result.cut == optimal_average_cut(t, objective).cut
+        assert result.cut == brute_force_reference(t, objective).cut
+        assert (result.total, result.size, result.average) == evaluate_cut(t, result.cut)
+
     def test_result_reports_the_cut_count(self, figure_tree):
         assert brute_force_optimum(figure_tree).cut_count == 729
         assert optimal_average_cut(figure_tree).cut_count is None
 
 
 class TestDeepPaths:
-    """A tie or a win rebuilds only what changed since the last rebuild, so
-    paths, where every cut ties (equal weights) or wins (increasing
-    weights), take linear time: 4x the edges should cost about 4x, and
-    quadratic growth would cost 16x."""
+    """The walk builds no cut, and the fewest-node cut is derived once at
+    the end, so paths, where every cut ties (equal weights) or wins
+    (increasing weights), take linear time: 4x the edges should cost about
+    4x, and quadratic growth would cost 16x."""
 
     @pytest.mark.parametrize("kind", ["equal", "increasing"])
     def test_growth_is_linear(self, kind):
