@@ -11,24 +11,26 @@ Every comparison is exact. Each supernode keeps the total weight of its
 live out-edges as a fraction of two ints: the lcm of the denominators
 merged into it, less the factors a contracted edge's denominator shares
 with the numerator. An aggregate grows only with the weights it holds,
-never with one scale shared by the whole tree; on integer weights every
-denominator is 1 and the arithmetic is plain int addition.
+never with one scale shared by the whole tree.
 
-The queue keys each candidate by the correctly rounded float of its exact
-value, which is monotone, so only two equal floats need a tiebreak. A run is
-*plain* when every weight is an int and ``max(weight) * n**2 < 2**50``;
-it is decided once, from the tree alone. A plain run's finite
-contractibilities are ``a / b`` with ``1 <= b < n`` and ``|a / b| <=
-2 * max(weight)``, so two distinct ones differ by more than ``1 / n**2``,
-which is more than the float spacing at their size: equal floats mean equal
-values, and a plain run's tiebreak is the constant 0, which hands every tie
-to the edge id. Every other run breaks equal floats with the exact value, a
-``Contractibility``: an unreduced ``(num, den)`` pair ordered by cross
-multiplication, the same type the engine reports. Either way the queue pops
-in (exact value, edge id) order. Infinite contractibilities key as float
-infinities and carry no pair at all. The stop test never reads the key: it
-compares the popped edge's exact pair with the root average. A plain run's
-every ``_den`` stays 1, so it contracts through a loop with the merge
+A run is *plain* when the lcm ``D`` of all weight denominators is at most
+``_PLAIN_SCALE``; it is decided once, from the tree alone. A plain run
+scales every weight to the int ``weight * D``, so every ``_den`` is ``D``
+and a merge adds bare ints with nothing to cancel. Its finite
+contractibilities are ``a / (D * b)`` with int ``a`` and ``1 <= b < n``, and
+the queue keys each by the int ``floor(a * n**2 / b)`` (oriented): two
+distinct values ``a / b`` and ``a' / b'`` differ by at least ``1 / (b *
+b')``, more than ``1 / n**2``, so their keys differ by at least one and the
+floor is injective and monotone at any weight magnitude. Equal keys mean
+equal values, and a plain run's tiebreak is the constant 0, which hands
+every tie to the edge id. Every other run keys by the correctly rounded
+float of the exact value, which is monotone, and breaks equal floats with
+the exact value, a ``Contractibility``: an unreduced ``(num, den)`` pair
+ordered by cross multiplication, the same type the engine reports. Either
+way the queue pops in (exact value, edge id) order. Infinite
+contractibilities key as float infinities and carry no pair at all. The
+stop test never reads the key: it compares the popped edge's exact pair
+with the root average. A plain run contracts through a loop with the merge
 written out for bare int sums.
 """
 
@@ -50,9 +52,9 @@ from .rational import exact_str, parse_rational
 from .tree import EdgeId, NodeId, RootedTree
 
 _FLOAT_MAX = sys.float_info.max
-# A run whose weights are ints with max(weight) * n**2 below this is plain:
-# its finite heap keys order exactly as floats alone.
-_PLAIN_BOUND = 2**50
+# A run whose weight denominators have an lcm of at most this is plain: every
+# weight times that lcm is an int, and its heap keys are exact ints.
+_PLAIN_SCALE = 2**32
 
 
 class Objective(Enum):
@@ -233,8 +235,18 @@ class ContractionState:
         n = tree.node_count
         root = tree.root
 
-        self._wn = wn = tree.wnum
-        self._wd = wd = tree.wden
+        # The common denominator, or the first partial lcm past the limit.
+        wn, wd = tree.wnum, tree.wden
+        scale = 1
+        for q in set(wd):
+            scale = lcm(scale, q)
+            if scale > _PLAIN_SCALE:
+                break
+        self._plain = plain = scale <= _PLAIN_SCALE
+        if plain and scale != 1:
+            wn = tree.scaled_weights[1]
+            wd = (scale,) * n
+        self._wn, self._wd = wn, wd
 
         # Each supernode's union-find root is its topmost node; path halving
         # rewrites only entries that do not point to themselves, so a node is
@@ -244,13 +256,15 @@ class ContractionState:
         # name: their total as _num / _den, and their count. _den is always a
         # positive multiple of the denominator of the supernode's own in-edge
         # weight, so _lam() needs no lcm and a merge needs one. It starts as
-        # the lcm of a node's in- and out-edge denominators; the root's
-        # weight slot is 0/1, so the lcm pass never meets it.
+        # the lcm of a node's in- and out-edge denominators (on a plain run,
+        # the scale); the root's weight slot is 0/1, so the lcm pass never
+        # meets it.
         parent = tree.parent
         self._den = dens = list(wd)
-        for v in compress(range(n), map((1).__ne__, wd)):
-            p = parent[v]
-            dens[p] = lcm(dens[p], wd[v])
+        if not plain:
+            for v in compress(range(n), map((1).__ne__, wd)):
+                p = parent[v]
+                dens[p] = lcm(dens[p], wd[v])
         # One pass adds each weight, scaled to its tail's _den, to the tail.
         self._num = nums = [0] * n
         self._cnt = cnts = [0] * n
@@ -261,11 +275,11 @@ class ContractionState:
                 cnts[p] += 1
 
         self._gen = [0] * n
-        # Heap entries are (float key, tiebreak, edge, generation), keyed by
-        # _lam(e) written out here, one method call less per edge. A plain
-        # run's floats order exactly (see the module docstring), so a finite
-        # value takes the tiebreak 0 and no Contractibility is built.
-        self._plain = plain = wd.count(1) == n and max(wn) * n * n < _PLAIN_BOUND
+        # Heap entries are (key, tiebreak, edge, generation), keyed by _lam(e)
+        # written out here, one method call less per edge. A plain run keys a
+        # finite value by the exact int floor(gap * n**2 / b) (see the module
+        # docstring) with the tiebreak 0, and builds no Contractibility.
+        self._nn = nn = n * n
         sign = self._sign
         heap = []
         append = heap.append
@@ -274,11 +288,11 @@ class ContractionState:
                 continue
             d, q = dens[e], wd[e]
             gap = sign * (nums[e] - (wn[e] if q == d else wn[e] * (d // q)))
-            den = d * (cnts[e] - 1)
-            if plain and den:
-                append((gap / den, 0, e, 0))
+            b = cnts[e] - 1
+            if plain and b:
+                append((gap * nn // b, 0, e, 0))
             else:
-                key, tie = _heap_key(gap, den)
+                key, tie = _heap_key(gap, d * b)
                 append((key, tie, e, 0))
         heapq.heapify(heap)
         self._heap = heap
@@ -431,7 +445,7 @@ class ContractionState:
             num = num * (den_e // g) + lam_num * (den // g)
             den = den // g * den_e
         q = wd[e]
-        if q != 1:
+        if q != 1 and not self._plain:
             # weight(e) left the total: cancel what its denominator shares
             # with the numerator, but keep u's in-edge denominator dividing
             # _den. Without this a supernode that absorbs a chain of distinct
@@ -454,7 +468,7 @@ class ContractionState:
             u_num, u_den = self._lam(u)
             u_num *= self._sign
             if self._plain and u_den:
-                key, tie = u_num / u_den, 0
+                key, tie = u_num * self._nn // (cnts[u] - 1), 0
             else:
                 key, tie = _heap_key(u_num, u_den)
             heapq.heappush(self._heap, (key, tie, u, gen))
@@ -490,13 +504,14 @@ class ContractionState:
 
     def _run_plain(self) -> None:
         """:meth:`run` on a plain tree, with :meth:`_lam`, :meth:`_find` and
-        :meth:`_merge` written out: every ``_den`` stays 1 and no weight has
-        a factor to cancel, so each aggregate is a bare int sum."""
+        :meth:`_merge` written out: every ``_den`` stays the scale and
+        nothing is cancelled, so each aggregate is a bare int sum."""
         heap, uf, gen, steps = self._heap, self._uf, self._gen, self._steps
         nums, cnts, wn, parent = self._num, self._cnt, self._wn, self.tree.parent
-        maximize, sign = self._maximize, self._sign
+        maximize, sign, nn = self._maximize, self._sign, self._nn
         heappop, heappush = heapq.heappop, heapq.heappush
         root = self.tree.root
+        scale = self._den[root]
         while heap:
             entry = heappop(heap)
             e = entry[2]
@@ -525,10 +540,10 @@ class ContractionState:
                 u_num = sign * (nums[u] - wn[u])
                 u_den = cnts[u] - 1
                 if u_den:
-                    heappush(heap, (u_num / u_den, 0, u, g))
+                    heappush(heap, (u_num * nn // u_den, 0, u, g))
                 else:
                     heappush(heap, (-math.inf if u_num < 0 else math.inf, None, u, g))
-            steps.append((e, lam_num, lam_den, nums[root], 1, cnts[root], u == root))
+            steps.append((e, lam_num, lam_den * scale, nums[root], scale, cnts[root], u == root))
 
     def result(self) -> CutResult:
         root = self.tree.root

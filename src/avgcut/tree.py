@@ -64,10 +64,11 @@ class RootedTree:
         """``(scale, ints)``: the least common denominator of all weights and
         every weight times it, so ``weights[v] == Fraction(ints[v], scale)``.
 
-        Computed on first use and kept. Only the brute-force oracle
-        (``oracle._Prep``) uses it; the contraction engine keeps per-supernode
-        fractions instead, because with distinct prime denominators this
-        scale grows linearly in the number of edges.
+        Computed on first use and kept. The brute-force oracle
+        (``oracle._Prep``) uses it, and the contraction engine only on plain
+        runs, whose scale is small; otherwise the engine keeps per-supernode
+        fractions, because with distinct prime denominators this scale grows
+        linearly in the number of edges.
         """
         dens = set(self.wden)
         scale = math.lcm(*dens)

@@ -522,18 +522,21 @@ def _mostly_integer_weights(rng, t):
     return quiet_tree(rows)
 
 
-def _near_the_plain_bound(rng, t, offset):
-    """``t`` with integer weights whose maximum is ``2**50 // n**2 + offset``,
-    ``n`` being ``t``'s node count, drawn mostly next to that maximum, 0 and
-    1, so that contractibilities crowd together."""
-    top = 2**50 // t.node_count**2 + offset
-    pool = (top, top - 1, top - 2, top // 2, top // 3, 0, 1)
+def _near_the_plain_scale(rng, t, offset):
+    """``t`` with weights ``k / q``, every ``q`` a divisor of ``L = 2**32 +
+    offset`` and one weight ``1 / L``, so that the lcm of the denominators is
+    ``L``: at ``offset`` -1, 0 and 1 just below, at and just past the plain
+    scale. Numerators come mostly from a few multiples of ``q``, so that
+    contractibilities crowd together."""
+    top = 2**32 + offset  # 3*5*17*257*65537, 2**32 and 641*6700417
+    divisors = [q for q in (1, 2, 3, 5, 17, 257, 641, 65537, 6700417, 2**31, top) if top % q == 0]
     rows = []
     for e in t.edges():
-        w = rng.choice(pool) if rng.random() < 0.8 else rng.randint(0, top)
-        rows.append((t.labels[t.tail(e)], t.labels[e], Fraction(w)))
+        q = rng.choice(divisors)
+        k = rng.choice((0, 1, q - 1, q, 2 * q, 7 * q + 3)) if rng.random() < 0.8 else rng.randrange(8 * q)
+        rows.append((t.labels[t.tail(e)], t.labels[e], Fraction(k, q)))
     k = rng.randrange(len(rows))
-    rows[k] = (*rows[k][:2], Fraction(top))  # the maximum, once at least
+    rows[k] = (*rows[k][:2], Fraction(1, top))  # the lcm, once at least
     return quiet_tree(rows)
 
 
@@ -599,24 +602,22 @@ class TestAgainstFractionReference:
             self._check(_mostly_integer_weights(rng, random_tree(rng, 100, 250)))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_integer_weights_across_the_plain_bound(self, offset):
-        # At offset 1 the maximum weight times n**2 reaches 2**50, so the run
-        # is not plain and its equal floats fall through to exact pairs.
+    def test_denominators_across_the_plain_scale(self, offset):
+        # At offset 1 the lcm of the denominators passes the plain scale, so
+        # the run keeps per-supernode fractions and float keys.
         rng = random.Random(8 + offset)
         trees = [random_tree(rng) for _ in range(40)]
         trees += [random_tree(rng, 100, 250) for _ in range(4)]
         for t in trees:
-            t = _near_the_plain_bound(rng, t, offset)
-            n = t.node_count
-            plain = {-1: True, 0: 2**50 % (n * n) != 0, 1: False}[offset]
-            assert ContractionState(t)._plain is plain
+            t = _near_the_plain_scale(rng, t, offset)
+            assert ContractionState(t)._plain is (offset <= 0)
             self._check(t)
 
     def test_siblings_one_float_apart_above_the_bound(self):
         t = quiet_tree(_SIBLINGS_ONE_FLOAT)
         x, y = t.edge_by_child("x"), t.edge_by_child("y")
         assert x < y and float(2**53 + 1) == float(2**53)
-        assert not ContractionState(t)._plain
+        assert ContractionState(t)._plain
         assert optimal_average_cut(t, Objective.MAXIMIZE).contractions == (y,)
         assert optimal_average_cut(t, Objective.MINIMIZE).contractions == (x,)
         self._check(t)
@@ -685,9 +686,10 @@ class _CountingContractibility(Contractibility):
 
 
 class TestPlainKeys:
-    """On plain runs (int weights, ``max(weight) * n**2 < 2**50``) finite heap
-    entries are ``(float, 0, edge, generation)``; all other runs break equal
-    floats with the exact ``Contractibility``."""
+    """On plain runs (the lcm of the weight denominators at most
+    ``_PLAIN_SCALE``) finite heap entries are ``(int, 0, edge,
+    generation)``; all other runs break equal floats with the exact
+    ``Contractibility``."""
 
     @staticmethod
     def _keying_builds(monkeypatch, t, objective):
@@ -704,21 +706,35 @@ class TestPlainKeys:
     def test_plain_runs_build_no_contractibility(self, monkeypatch, objective):
         rng = random.Random(9)
         rows = [("n0", "n1", Fraction(1))]
+        huge = [("n0", "n1", Fraction(2**53))]
         for i in range(2, 400):
-            rows.append((f"n{rng.randrange(i)}", f"n{i}", Fraction(rng.randint(1, 1000))))
-        for t in (quiet_tree(rows), path_tree(3, 1, 4, 1, 5)):
+            parent = f"n{rng.randrange(i)}"
+            rows.append((parent, f"n{i}", Fraction(rng.randint(1, 1000))))
+            huge.append((parent, f"n{i}", Fraction(2**53 + rng.choice((-1, 0, 0, 1)))))
+        heights = linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, 300)), "gap")
+        assert max(heights.wden) > 1
+        trees = (quiet_tree(rows), path_tree(3, 1, 4, 1, 5), heights, quiet_tree(huge))
+        for t in trees:
             built, entries, state = self._keying_builds(monkeypatch, t, objective)
             assert state._plain and state.contractions
             assert built == 0
             for key, tie, _, _ in entries:
-                assert tie == (None if math.isinf(key) else 0)
-                assert type(tie) is not _CountingContractibility
+                if math.isinf(key):
+                    assert tie is None
+                else:
+                    assert type(key) is int and tie == 0
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_other_runs_break_ties_with_exact_pairs(self, monkeypatch, objective):
-        past_the_bound = _near_the_plain_bound(random.Random(10), random_tree(random.Random(11)), 1)
-        rational = quiet_tree([("r", "a", Fraction(1, 2)), ("a", "b", Fraction(3)), ("a", "c", Fraction(1))])
-        for t in (quiet_tree(_SIBLINGS_ONE_FLOAT), past_the_bound, rational):
+        rng = random.Random(10)
+        trees = [prime_denominator_tree(rng, n_nodes=40) for _ in range(2)]
+        for _ in range(2):
+            t = random_tree(rng, 30, 60)
+            # Weights far below the float range: every finite key is 0.0.
+            rows = [(t.labels[t.tail(e)], t.labels[e], Fraction(rng.randrange(4), 10**400)) for e in t.edges()]
+            rows.append((t.labels[t.root], "tiny", Fraction(1, 10**400)))
+            trees.append(quiet_tree(rows))
+        for t in trees:
             built, entries, state = self._keying_builds(monkeypatch, t, objective)
             assert not state._plain
             assert built > 0

@@ -175,7 +175,7 @@ class TestBruteForce:
             brute_force_optimum(figure_tree, Objective.MAXIMIZE, limit=10)
 
     def test_deterministic_tie_break(self):
-        # all weights equal: every cut has average 1; smallest sorted id list wins
+        # all weights equal: every cut has average 1; fewest-node subtree wins
         t = path_tree(1, 1, 1)
         result = brute_force_optimum(t, Objective.MAXIMIZE)
         assert result.cut == edge_set_by_children(t, ["n1"])
@@ -535,6 +535,19 @@ class TestParallelWalk:
         assert result.cut == optimal_average_cut(t, objective).cut
         assert result.cut == brute_force_reference(t, objective).cut
         assert (result.total, result.size, result.average) == evaluate_cut(t, result.cut)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_reports_the_total_and_size_of_the_cut_it_returns(self, cpus):
+        # A 17-spoke broom: every cut ties, and once the cut space is split
+        # between processes the best a share reports may be a larger cut
+        # than the fewest-node one.
+        t = parse_edgelist("".join(f"r a{i} 1\na{i} b{i} 1\na{i} c{i} 1\n" for i in range(17)))
+        for objective in Objective:
+            with _forced_workers(cpus):
+                result = brute_force_optimum(t, objective)
+            _assert_no_children()
+            assert (result.total, result.size) == evaluate_cut(t, result.cut)[:2]
+            assert result.cut == optimal_average_cut(t, objective).cut
 
     def test_result_reports_the_cut_count(self, figure_tree):
         assert brute_force_optimum(figure_tree).cut_count == 729

@@ -271,9 +271,6 @@ def _reference_rank(num_o, den_o, scale):
     return (0, Fraction(num_o, den_o * scale))
 
 
-_PLAIN_BOUND = 2**50
-
-
 def _plain_numerator(draw, b, top):
     """A numerator of a plain run's contractibility over ``b``: the gap
     ``out_sum - weight`` lies in ``[-top, (b + 1) * top]``; often at an end."""
@@ -291,20 +288,26 @@ def _closest_neighbour(a1, b1, b2):
     return a1, (a1 * b2 - 1) // b1
 
 
+# Top weights for plain runs, which have no bound on weight size: small,
+# around the float spacing of 1, past the float range, and anything between.
+_plain_tops = st.one_of(
+    st.sampled_from((1, 2**53 - 1, 2**53 + 1, 10**400)),
+    st.integers(min_value=1, max_value=2**200),
+)
+
+
 @st.composite
 def plain_pairs(draw):
-    """``[(a, b), ...]`` inside a plain run's bound for some ``n`` and top
-    weight ``M``: ``M * n**2 < 2**50``, ``1 <= b < n`` and ``-M <= a <= (b +
-    1) * M``. ``n`` and ``M`` are often at their largest and ``a`` and ``b``
-    at their ends; pairs that differ by exactly ``1 / (b1 * b2)`` are mixed
-    in, and either sign, as the orientation under MAXIMIZE negates every
-    value."""
+    """``(n, [(a, b), ...])`` for a plain run of ``n`` nodes and top scaled
+    weight ``M``: ``1 <= b < n`` and ``-M <= a <= (b + 1) * M``. ``n`` is
+    often at its largest and ``a`` and ``b`` at their ends; pairs that
+    differ by exactly ``1 / (b1 * b2)`` are mixed in, and either sign, as
+    the orientation under MAXIMIZE negates every value."""
     n = draw(st.one_of(
         st.sampled_from((2, 3, 2**10 + 1, 2**20, 2**24 + 1, 2**25 - 1)),
         st.integers(min_value=2, max_value=2**25 - 1),
     ))
-    top = (_PLAIN_BOUND - 1) // (n * n)
-    top = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top)))
+    top = draw(_plain_tops)
     dens = st.one_of(st.sampled_from((1, max(1, n - 2), n - 1)), st.integers(1, n - 1))
     pairs = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -314,24 +317,24 @@ def plain_pairs(draw):
         near = _closest_neighbour(a1, b1, b2)
         if near is not None and -top <= near[0] and -top <= near[1] <= (b2 + 1) * top:
             pairs += [(near[0], b1), (near[1], b2)]
-    return [(draw(st.sampled_from((-1, 1))) * a, b) for a, b in pairs]
+    return n, [(draw(st.sampled_from((-1, 1))) * a, b) for a, b in pairs]
 
 
 @st.composite
 def plain_heads(draw):
     """``(tree, [(head label, a, b), ...])``: a plain tree whose root has
-    one leaf of the top weight ``M`` and heads ``h0, h1, ...``; head ``hi``
-    has ``b + 1`` leaf children and contractibility ``a / b``, or an
-    infinity at ``b == 0``. ``M`` is often the largest the node count
-    allows, ``a`` is often at an end of its range, and some heads repeat
-    an earlier head's value as ``2a / 2b``."""
+    one leaf of the top weight ``M / D`` and heads ``h0, h1, ...``; head
+    ``hi`` has ``b + 1`` leaf children and contractibility ``a / (D * b)``,
+    or an infinity at ``b == 0``. ``D`` is 1, 100 or the plain scale, ``M``
+    is often past the float range, ``a`` is often at an end of its range,
+    some heads repeat an earlier head's value as ``2a / 2b``, and some
+    pairs of heads differ by exactly ``1 / (b * b2)``."""
     dens = [draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=40)))
             for _ in range(draw(st.integers(min_value=1, max_value=6)))]
     twins = [i for i, b in enumerate(dens) if b and draw(st.booleans())]
     dens += [2 * dens[i] for i in twins]
-    n = 2 + len(dens) + sum(b + 1 for b in dens)
-    top = (_PLAIN_BOUND - 1) // (n * n)
-    top = draw(st.one_of(st.just(top), st.integers(min_value=1, max_value=top)))
+    top = draw(_plain_tops)
+    scale = draw(st.sampled_from((1, 100, 2**32)))
     values = [(_plain_numerator(draw, b, top), b) for b in dens[:len(dens) - len(twins)]]
     for i in twins:
         a, b = values[i]
@@ -339,29 +342,38 @@ def plain_heads(draw):
         if not -top <= twin <= (2 * b + 1) * top:
             twin = _plain_numerator(draw, 2 * b, top)
         values.append((twin, 2 * b))
-    rows = [("r", "top", Fraction(top))]
+    for a, b in values[:len(dens)]:
+        if b and draw(st.booleans()):  # the closest distinct value over b2
+            b2 = draw(st.integers(min_value=1, max_value=40))
+            near = _closest_neighbour(a, b, b2)
+            if near and -top <= near[0] <= (b + 1) * top and -top <= near[1] <= (b2 + 1) * top:
+                values += [(near[0], b), (near[1], b2)]
+    rows = [("r", "top", Fraction(top, scale))]
     for i, (a, b) in enumerate(values):
-        rows.append(("r", f"h{i}", Fraction(max(-a, 0))))
+        rows.append(("r", f"h{i}", Fraction(max(-a, 0), scale)))
         rest = max(a, 0)
         for j in range(b + 1):
             w = min(rest, top)
             rest -= w
-            rows.append((f"h{i}", f"h{i}.{j}", Fraction(w)))
+            rows.append((f"h{i}", f"h{i}.{j}", Fraction(w, scale)))
     heads = [(f"h{i}", a, b) for i, (a, b) in enumerate(values)]
     return quiet_tree(draw(st.permutations(rows))), heads
 
 
 class TestPlainKeys:
-    """A plain run keys a finite contractibility by its float alone."""
+    """A plain run keys a finite contractibility ``a / b``, over the common
+    denominator, by the int ``floor(a * n**2 / b)`` alone."""
 
     @PROPERTY_SETTINGS
     @given(plain_pairs())
-    def test_float_key_is_injective_and_orders_exactly(self, pairs):
+    def test_int_key_is_injective_and_orders_exactly(self, case):
+        n, pairs = case
         for a1, b1 in pairs:
             for a2, b2 in pairs:
                 exact_1, exact_2 = Fraction(a1, b1), Fraction(a2, b2)
-                assert (a1 / b1 == a2 / b2) == (exact_1 == exact_2)
-                assert (a1 / b1 < a2 / b2) == (exact_1 < exact_2)
+                key_1, key_2 = a1 * n * n // b1, a2 * n * n // b2
+                assert (key_1 == key_2) == (exact_1 == exact_2)
+                assert (key_1 < key_2) == (exact_1 < exact_2)
 
     @PROPERTY_SETTINGS
     @given(plain_heads())
