@@ -26,7 +26,6 @@ from .dendro import (
     communities_from_cut,
     linkage_to_tree,
     parse_linkage_csv,
-    read_linkage_csv,
 )
 from .io import format_edgelist, parse_edgelist, parse_newick
 from .oracle import (
@@ -77,7 +76,6 @@ __all__ = [
     "parse_linkage_csv",
     "parse_newick",
     "parse_weight",
-    "read_linkage_csv",
     "run_contraction",
     "__version__",
 ]

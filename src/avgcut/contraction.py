@@ -7,11 +7,13 @@ stopping as soon as no live edge strictly beats it. An edge's
 contractibility is the average weight its head's out-edges would add to a
 cut that swapped the edge for them: (out_sum - weight) / (out_degree - 1).
 
-Every comparison is exact. Each supernode keeps the total weight of its
-live out-edges as a fraction of two ints: the lcm of the denominators
-merged into it, less the factors a contracted edge's denominator shares
-with the numerator. An aggregate grows only with the weights it holds,
-never with one scale shared by the whole tree.
+Every comparison is exact. Each supernode keeps its in-edge weight less
+the total weight of its live out-edges, minus the numerator of its
+in-edge's contractibility, as a fraction of two ints: the lcm of the
+denominators merged into it, less the factors a contracted edge's
+denominator shares with the numerator. An aggregate grows only with the
+weights it holds, never with one scale shared by the whole tree. Its sign
+lets it start as the in-edge weight itself.
 
 A run is *plain* when the lcm ``D`` of all weight denominators is at most
 ``_PLAIN_SCALE``; it is decided once, from the tree alone. A plain run
@@ -30,8 +32,9 @@ ordered by cross multiplication, the same type the engine reports. Either
 way the queue pops in (exact value, edge id) order. Infinite
 contractibilities key as float infinities and carry no pair at all. The
 stop test never reads the key: it compares the popped edge's exact pair
-with the root average. A plain run contracts through a loop with the merge
-written out for bare int sums.
+with the root average. Plain and general runs, and the public ``contract``
+and ``run``, take one contraction step; on a plain run its merge adds bare
+ints over the one denominator and cancels nothing.
 """
 
 from __future__ import annotations
@@ -221,8 +224,10 @@ class ContractionState:
     live internal edges. A contraction links the head under its tail's
     supernode, so every supernode is named by its topmost original node,
     whose in-edge is the supernode's, and an edge ``e`` is live exactly when
-    ``_uf[e] == e``. Confine an instance to a single thread; separate runs on
-    separate trees are independent.
+    ``_uf[e] == e``. :meth:`run` and :meth:`contract` share one step,
+    :meth:`_contract`, which contracts an edge, requeues the tail's in-edge
+    and logs the step. Confine an instance to a single thread; separate runs
+    on separate trees are independent.
     """
 
     def __init__(self, tree: RootedTree, objective: Objective = Objective.MAXIMIZE):
@@ -230,8 +235,9 @@ class ContractionState:
         self.objective = objective
         self._maximize = objective is Objective.MAXIMIZE
         # Heap keys use the value oriented so that the min-heap pops the best
-        # edge first: negated under MAXIMIZE.
-        self._sign = -1 if self._maximize else 1
+        # edge first: negated under MAXIMIZE. _num holds a negated numerator,
+        # so the key is _sign * _num.
+        self._sign = 1 if self._maximize else -1
         n = tree.node_count
         root = tree.root
 
@@ -252,33 +258,39 @@ class ContractionState:
         # rewrites only entries that do not point to themselves, so a node is
         # a root, and its in-edge live, until it is absorbed.
         self._uf = list(range(n))
-        # Per-supernode aggregates over live out-edges, at the supernode's
-        # name: their total as _num / _den, and their count. _den is always a
-        # positive multiple of the denominator of the supernode's own in-edge
-        # weight, so _lam() needs no lcm and a merge needs one. It starts as
-        # the lcm of a node's in- and out-edge denominators (on a plain run,
-        # the scale); the root's weight slot is 0/1, so the lcm pass never
-        # meets it.
+        # Per-supernode aggregates, at the supernode's name: _num / _den is
+        # its in-edge weight less the total weight of its live out-edges, the
+        # negated numerator of its in-edge's contractibility (at the root,
+        # whose weight slot is 0/1, minus the out-edge total), and _cnt
+        # counts those out-edges. _den is always a positive multiple of the
+        # denominator of the in-edge weight. It starts as the lcm of a node's
+        # in- and out-edge denominators (on a plain run, the scale), and _num
+        # as the in-edge weight over it, so a plain run's _num starts as the
+        # weights themselves; one pass then subtracts each weight, scaled to
+        # its tail's _den, from the tail.
         parent = tree.parent
         self._den = dens = list(wd)
-        if not plain:
+        if plain:
+            nums = list(wn)
+        else:
             for v in compress(range(n), map((1).__ne__, wd)):
                 p = parent[v]
                 dens[p] = lcm(dens[p], wd[v])
-        # One pass adds each weight, scaled to its tail's _den, to the tail.
-        self._num = nums = [0] * n
+            nums = [w if q == d else w * (d // q) for w, q, d in zip(wn, wd, dens)]
+        self._num = nums
         self._cnt = cnts = [0] * n
         for p, w, q in zip(parent, wn, wd):
             if p is not None:
                 d = dens[p]
-                nums[p] += w if q == d else w * (d // q)
+                nums[p] -= w if q == d else w * (d // q)
                 cnts[p] += 1
 
         self._gen = [0] * n
-        # Heap entries are (key, tiebreak, edge, generation), keyed by _lam(e)
-        # written out here, one method call less per edge. A plain run keys a
-        # finite value by the exact int floor(gap * n**2 / b) (see the module
-        # docstring) with the tiebreak 0, and builds no Contractibility.
+        # Heap entries are (key, tiebreak, edge, generation), keyed by e's
+        # contractibility -_num[e] / (_den[e] * b), b = _cnt[e] - 1. A plain
+        # run keys a finite value by the exact int floor(_sign * _num[e] *
+        # n**2 / b) (see the module docstring) with the tiebreak 0, and
+        # builds no Contractibility.
         self._nn = nn = n * n
         sign = self._sign
         heap = []
@@ -286,21 +298,21 @@ class ContractionState:
         for e in compress(range(n), cnts):
             if e == root:
                 continue
-            d, q = dens[e], wd[e]
-            gap = sign * (nums[e] - (wn[e] if q == d else wn[e] * (d // q)))
             b = cnts[e] - 1
             if plain and b:
-                append((gap * nn // b, 0, e, 0))
+                append((sign * nums[e] * nn // b, 0, e, 0))
             else:
-                key, tie = _heap_key(gap, d * b)
+                key, tie = _heap_key(sign * nums[e], dens[e] * b)
                 append((key, tie, e, 0))
         heapq.heapify(heap)
         self._heap = heap
 
-        # The one log of the run: (edge, lam_num, lam_den, root_num, root_den,
-        # root_cnt, merged_root); lam_den == 0 encodes the infinities.
-        self._steps: list[tuple[int, int, int, int, int, int, bool]] = []
-        self._initial_alpha = (self._num[root], dens[root], self._cnt[root])
+        # The one log of the run: (edge, num_e, lam_den, alpha_num,
+        # alpha_den, merged_root), in _num's sign: the edge's contractibility
+        # is -num_e / lam_den and the root average after it -alpha_num /
+        # alpha_den; lam_den == 0 encodes the infinities.
+        self._steps: list[tuple[int, int, int, int, int, bool]] = []
+        self._initial_alpha = (nums[root], dens[root] * cnts[root])
 
     # --- union-find ---------------------------------------------------- #
 
@@ -310,20 +322,6 @@ class ContractionState:
             uf[x] = uf[uf[x]]
             x = uf[x]
         return x
-
-    # --- exact aggregates ------------------------------------------------ #
-
-    def _lam(self, e: EdgeId) -> tuple[int, int]:
-        """Contractibility of live edge ``e`` as an unreduced pair
-        ``(num, den)``. The head ``e`` names its own supernode, so
-        ``num / _den[e]`` is ``out_sum(e) - weight(e)``, exact because the
-        weight's denominator divides ``_den[e]``, and ``den`` is
-        ``_den[e] * (live_out_count(e) - 1)``, so ``den == 0`` encodes the
-        infinities."""
-        d = self._den[e]
-        wd = self._wd[e]
-        wn = self._wn[e] if wd == d else self._wn[e] * (d // wd)
-        return self._num[e] - wn, d * (self._cnt[e] - 1)
 
     # --- queries ---------------------------------------------------------- #
 
@@ -342,7 +340,8 @@ class ContractionState:
     def live_out_sum(self, v: NodeId) -> Fraction:
         """Total weight of live out-edges of ``v``'s supernode."""
         r = self._find(v)
-        return Fraction(self._num[r], self._den[r])
+        d, q = self._den[r], self._wd[r]
+        return Fraction(self._wn[r] * (d // q) - self._num[r], d)
 
     def live_out_count(self, v: NodeId) -> int:
         """Number of live out-edges of ``v``'s supernode."""
@@ -351,12 +350,12 @@ class ContractionState:
     @property
     def root_average(self) -> Fraction:
         root = self.tree.root
-        return Fraction(self._num[root], self._den[root] * self._cnt[root])
+        return Fraction(-self._num[root], self._den[root] * self._cnt[root])
 
     @property
     def initial_root_average(self) -> Fraction:
-        num, den, cnt = self._initial_alpha
-        return Fraction(num, den * cnt)
+        num, den = self._initial_alpha
+        return Fraction(-num, den)
 
     def contractibility(self, e: EdgeId) -> Contractibility:
         """Contractibility of live edge ``e`` under the current partition."""
@@ -365,7 +364,7 @@ class ContractionState:
             raise DeadEdgeError(f"edge {e} was already contracted")
         if self._cnt[e] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-        return _contractibility(*self._lam(e), self._maximize)
+        return _contractibility(-self._num[e], self._den[e] * (self._cnt[e] - 1), self._maximize)
 
     def pending_edges(self) -> set[EdgeId]:
         """Edges with a fresh queue entry (live internal edges, exactly)."""
@@ -398,17 +397,17 @@ class ContractionState:
         return [
             ContractionStep(
                 edge,
-                _contractibility(lam_num, lam_den, self._maximize),
-                Fraction(root_num, root_den * root_cnt),
+                _contractibility(-num_e, lam_den, self._maximize),
+                Fraction(-alpha_num, alpha_den),
                 merged,
             )
-            for edge, lam_num, lam_den, root_num, root_den, root_cnt, merged in self._steps
+            for edge, num_e, lam_den, alpha_num, alpha_den, merged in self._steps
         ]
 
     def root_average_history(self) -> list[Fraction]:
         """Root average before any contraction and after each one."""
         history = [self.initial_root_average]
-        history.extend(Fraction(s[3], s[4] * s[5]) for s in self._steps)
+        history.extend(Fraction(-s[3], s[4]) for s in self._steps)
         return history
 
     # --- mutation ----------------------------------------------------------- #
@@ -424,130 +423,101 @@ class ContractionState:
         self._check_edge(e)
         if self._uf[e] != e:
             raise DeadEdgeError(f"edge {e} was already contracted")
-        if not self.tree.children[e]:
+        if not self._cnt[e]:
             raise LeafHeadError(f"edge {e} ends in a leaf and cannot be contracted")
-        self._merge(e, *self._lam(e))
-
-    def _merge(self, e: EdgeId, lam_num: int, lam_den: int) -> None:
-        """:meth:`contract` for an edge known to be live and internal, whose
-        contractibility is ``_lam(e) == (lam_num, lam_den)``."""
-        nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
-        u = self._find(self.tree.parent[e])  # type: ignore[arg-type]
-
-        # The merged total is out_sum(u) - weight(e) + out_sum(e), which is
-        # out_sum(u) + lam_num / _den[e], over lcm(_den[u], _den[e]).
-        num, den = nums[u], dens[u]
-        den_e = dens[e]
-        if den == den_e:
-            num += lam_num
-        else:
-            g = gcd(den, den_e)
-            num = num * (den_e // g) + lam_num * (den // g)
-            den = den // g * den_e
-        q = wd[e]
-        if q != 1 and not self._plain:
-            # weight(e) left the total: cancel what its denominator shares
-            # with the numerator, but keep u's in-edge denominator dividing
-            # _den. Without this a supernode that absorbs a chain of distinct
-            # prime denominators keeps all of them, long after their weights
-            # have left its total.
-            g = gcd(num, q)
-            if g != 1:
-                g = gcd(g, den // wd[u])
-                num //= g
-                den //= g
-        self._uf[e] = u
-        nums[u] = num
-        dens[u] = den
-        cnts[u] += cnts[e] - 1
-
-        root = self.tree.root
-        if u != root:
-            # A new generation invalidates every queued entry for u's in-edge.
-            gen = self._gen[u] = self._gen[u] + 1
-            u_num, u_den = self._lam(u)
-            u_num *= self._sign
-            if self._plain and u_den:
-                key, tie = u_num * self._nn // (cnts[u] - 1), 0
-            else:
-                key, tie = _heap_key(u_num, u_den)
-            heapq.heappush(self._heap, (key, tie, u, gen))
-        self._steps.append((e, lam_num, lam_den, nums[root], dens[root], cnts[root], u == root))
+        self._contract(e)
 
     def run(self) -> None:
         """Contract best-first until no live edge strictly beats the root average."""
-        if self._plain:
-            self._run_plain()
-            return
-        heap, uf, gen = self._heap, self._uf, self._gen
-        nums, dens, cnts = self._num, self._den, self._cnt
-        maximize, lam, merge, heappop = self._maximize, self._lam, self._merge, heapq.heappop
-        root = self.tree.root
-        while heap:
-            entry = heappop(heap)
-            e = entry[2]
-            if uf[e] != e or entry[3] != gen[e]:
-                continue  # stale: contracted, or requeued since
-            # Stop unless the value strictly beats the root average; of the
-            # infinities only the one whose oriented key is -inf does.
-            lam_num, lam_den = lam(e)
-            if lam_den:
-                lhs = lam_num * (dens[root] * cnts[root])
-                rhs = nums[root] * lam_den
-                beats = lhs > rhs if maximize else lhs < rhs
-            else:
-                beats = entry[0] < 0
-            if not beats:
-                heapq.heappush(heap, entry)  # keep the queue complete
-                return
-            merge(e, lam_num, lam_den)  # queued edges are live and internal
+        self._contract(None)
 
-    def _run_plain(self) -> None:
-        """:meth:`run` on a plain tree, with :meth:`_lam`, :meth:`_find` and
-        :meth:`_merge` written out: every ``_den`` stays the scale and
-        nothing is cancelled, so each aggregate is a bare int sum."""
-        heap, uf, gen, steps = self._heap, self._uf, self._gen, self._steps
-        nums, cnts, wn, parent = self._num, self._cnt, self._wn, self.tree.parent
-        maximize, sign, nn = self._maximize, self._sign, self._nn
+    def _contract(self, forced: EdgeId | None) -> None:
+        """The contraction step: contract ``forced``, a live internal edge,
+        once; or, at None, pop the best fresh queue entry and contract it,
+        until one does not strictly beat the root average. :meth:`_find` is
+        written out here."""
+        heap, uf, gen, steps, parent = self._heap, self._uf, self._gen, self._steps, self.tree.parent
+        nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
+        plain, maximize, sign, nn = self._plain, self._maximize, self._sign, self._nn
         heappop, heappush = heapq.heappop, heapq.heappush
         root = self.tree.root
-        scale = self._den[root]
-        while heap:
-            entry = heappop(heap)
-            e = entry[2]
-            if uf[e] != e or entry[3] != gen[e]:
-                continue  # stale: contracted, or requeued since
-            lam_num = nums[e] - wn[e]
-            lam_den = cnts[e] - 1
-            if lam_den:
-                lhs = lam_num * cnts[root]
-                rhs = nums[root] * lam_den
-                beats = lhs > rhs if maximize else lhs < rhs
-            else:
-                beats = entry[0] < 0
-            if not beats:
-                heappush(heap, entry)  # keep the queue complete
-                return
+        # The root average is -alpha_num / alpha_den.
+        alpha_num, alpha_den = nums[root], dens[root] * cnts[root]
+        e = forced
+        while True:
+            if forced is None:
+                if not heap:
+                    return
+                entry = heappop(heap)
+                e = entry[2]
+                if uf[e] != e or entry[3] != gen[e]:
+                    continue  # stale: contracted, or requeued since
+            # e's contractibility is -num_e / lam_den.
+            d = dens[e]
+            num_e = nums[e]
+            b = cnts[e] - 1
+            lam_den = d * b
+            if forced is None:
+                # Stop unless the value strictly beats the root average; of
+                # the infinities only the one whose oriented key is -inf does.
+                if b:
+                    lhs = num_e * alpha_den
+                    rhs = alpha_num * lam_den
+                    beats = lhs < rhs if maximize else lhs > rhs
+                else:
+                    beats = entry[0] < 0
+                if not beats:
+                    heappush(heap, entry)  # keep the queue complete
+                    return
             u = parent[e]
             while uf[u] != u:
                 uf[u] = uf[uf[u]]
                 u = uf[u]
+
+            # u trades the out-edge e for e's out-edges, so its _num gains
+            # num_e / _den[e], over lcm(_den[u], _den[e]).
+            den = dens[u]
+            if den == d:
+                num = nums[u] + num_e
+            else:
+                g = gcd(den, d)
+                num = nums[u] * (d // g) + num_e * (den // g)
+                den = den // g * d
+            if not plain and wd[e] != 1:
+                # weight(e) left the total: cancel what its denominator shares
+                # with the numerator, but keep u's in-edge denominator
+                # dividing _den. Without this a supernode that absorbs a chain
+                # of distinct prime denominators keeps all of them, long after
+                # their weights have left its total.
+                g = gcd(num, wd[e])
+                if g != 1:
+                    g = gcd(g, den // wd[u])
+                    num //= g
+                    den //= g
             uf[e] = u
-            nums[u] += lam_num
-            cnts[u] += lam_den
+            nums[u] = num
+            dens[u] = den
+            cnts[u] += b
+
             if u != root:
+                # A new generation invalidates every queued entry for u's
+                # in-edge.
                 g = gen[u] = gen[u] + 1
-                u_num = sign * (nums[u] - wn[u])
-                u_den = cnts[u] - 1
-                if u_den:
-                    heappush(heap, (u_num * nn // u_den, 0, u, g))
+                u_num = sign * num
+                b = cnts[u] - 1
+                if plain and b:
+                    heappush(heap, (u_num * nn // b, 0, u, g))
                 else:
-                    heappush(heap, (-math.inf if u_num < 0 else math.inf, None, u, g))
-            steps.append((e, lam_num, lam_den * scale, nums[root], scale, cnts[root], u == root))
+                    heappush(heap, (*_heap_key(u_num, den * b), u, g))
+            else:
+                alpha_num, alpha_den = num, den * cnts[u]
+            steps.append((e, num_e, lam_den, alpha_num, alpha_den, u == root))
+            if forced is not None:
+                return
 
     def result(self) -> CutResult:
         root = self.tree.root
-        total_num, total_den = self._num[root], self._den[root]
+        total_num, total_den = -self._num[root], self._den[root]
         size = self._cnt[root]
         return CutResult(
             cut=self.cut_edges(),

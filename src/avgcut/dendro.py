@@ -338,8 +338,3 @@ def parse_linkage_csv(text: str) -> LinkageTable:
             raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
         merges.append((left, right, num, den, size))
     return LinkageTable._from_rows(len(merges) + 1, merges)
-
-
-def read_linkage_csv(path) -> LinkageTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_linkage_csv(fh.read())

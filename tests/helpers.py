@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import warnings
 from fractions import Fraction
 from typing import Iterator
 
+import avgcut
 from avgcut import (
     DEFAULT_CUT_LIMIT,
     CutResult,
@@ -27,6 +30,35 @@ from avgcut.errors import (
     TreeError,
     ZeroWeightWarning,
 )
+
+_PACKAGE_DIR = os.path.dirname(avgcut.__file__) + os.sep
+
+
+def src_line_count(call, *args):
+    """``(result, lines)``: the value of ``call(*args)`` and the number of
+    line events ``sys.settrace`` saw inside the ``avgcut`` package while it
+    ran. The count is exact and the same on every host, so a growth check
+    needs no clock; work done in C (sorting, slicing, big-int arithmetic)
+    is not counted."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(_PACKAGE_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
 
 # The 40-node golden tree: three branches under the root (edge weights 1, 2,
 # 3), each with three mid nodes (weights 2,2,2 / 3,3,3 / 1,1,1), each mid

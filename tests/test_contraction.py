@@ -34,6 +34,7 @@ from .helpers import (
     quiet_tree,
     random_linkage_csv,
     random_tree,
+    src_line_count,
     star_tree,
 )
 
@@ -381,6 +382,38 @@ class TestLinearGrowthOnDeepShapes:
         assert timings[40_000] < 8 * timings[10_000], timings
 
 
+def _broom_rows(n):
+    """A handle h0 -> h1 -> ... -> h(n/2) with weights 1, 2, ..., and n/2
+    bristles of weight n on its end: Maximize contracts the whole handle."""
+    m = n // 2
+    rows = [(f"h{i}", f"h{i + 1}", i + 1) for i in range(m)]
+    rows += [(f"h{m}", f"b{j}", 2 * m) for j in range(m)]
+    return rows
+
+
+class TestLineCountGrowth:
+    """The work of a whole solve, counted in lines run inside ``avgcut``
+    instead of timed: 4x the edges should cost about 4x the lines, and
+    quadratic growth would cost 16x, on any host."""
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("shape", ["caterpillar", "broom"])
+    def test_growth_is_linear(self, shape, objective):
+        lines = {}
+        for n in (2_500, 10_000):
+            rows = {"caterpillar": _comb_rows, "broom": _broom_rows}[shape](n)
+            if objective is Objective.MINIMIZE:
+                # Weights mirrored below their maximum: Minimize then makes
+                # the contractions Maximize makes on the shape as written.
+                top = max(w for _, _, w in rows) + 1
+                rows = [(tail, head, top - w) for tail, head, w in rows]
+            t = quiet_tree(rows)
+            result, lines[n] = src_line_count(optimal_average_cut, t, objective)
+            assert len(result.contractions) >= n // 4
+            assert evaluate_cut(t, result.cut) == (result.total, result.size, result.average)
+        assert lines[10_000] < 8 * lines[2_500], lines
+
+
 class TestEvaluateCut:
     def test_figure_output_cut(self, figure_tree):
         cut = edge_set_by_children(figure_tree, figure_max_cut_children())
@@ -487,14 +520,15 @@ def _assert_queries_match(state, model):
         assert state.contractibility(f) == model.rank(f)[1]
 
 
-def _reference_run(t, objective):
-    """Contraction order and steps from ``_FractionModel`` alone.
+def _reference_run(t, objective, model=None):
+    """Contraction order and steps from ``_FractionModel`` alone, continuing
+    ``model`` (a fresh one by default).
 
     Each step scans every live internal edge, takes the best oriented
     contractibility (ties to the smallest original edge id), and stops when
     that edge does not strictly beat the root average.
     """
-    model = _FractionModel(t, objective)
+    model = model or _FractionModel(t, objective)
     contractions, steps = [], []
     while model.live:
         best = min(model.live, key=lambda e: (model.rank(e)[0], e))
@@ -636,6 +670,38 @@ class TestAgainstFractionReference:
             t = linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, items)), scheme)
             assert sum(d != 1 for d in t.wden) > t.node_count // 2
             self._check(t)
+
+    def test_greedy_run_after_forced_contractions(self):
+        """A random prefix of public ``contract`` calls, then ``run``: the
+        steps after the prefix equal the model continued greedily, on plain
+        and on general runs."""
+        rng = random.Random(11)
+        trees = [random_tree(rng) for _ in range(40)]
+        trees += [_mostly_integer_weights(rng, random_tree(rng)) for _ in range(40)]
+        trees += [prime_denominator_tree(rng, n_nodes=40) for _ in range(6)]
+        trees += [
+            linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, rng.randint(2, 120))), scheme)
+            for scheme in ("gap", "height")
+            for _ in range(10)
+        ]
+        plain, greedy_steps = set(), 0
+        for t in trees:
+            for objective in Objective:
+                state = ContractionState(t, objective)
+                model = _FractionModel(t, objective)
+                for e in rng.sample(model.live, rng.randint(0, len(model.live) * 2 // 3)):
+                    state.contract(e)
+                    model.contract(e)
+                prefix = len(state.contractions)
+                state.run()
+                contractions, steps = _reference_run(t, objective, model)
+                assert state.contractions[prefix:] == contractions
+                assert state.steps()[prefix:] == steps
+                assert state.root_average == model.root_average()
+                plain.add(state._plain)
+                greedy_steps += len(steps)
+        assert plain == {True, False}
+        assert greedy_steps > 500
 
     def test_queries_after_every_contract(self):
         """Contract every internal edge, in random order, through the public
