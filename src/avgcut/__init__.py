@@ -13,7 +13,6 @@ from .contraction import (
     ContractionStep,
     CutResult,
     Objective,
-    edge_contractibility,
     evaluate_cut,
     optimal_average_cut,
     run_contraction,
@@ -63,7 +62,6 @@ __all__ = [
     "cluster",
     "communities_from_cut",
     "count_cuts",
-    "edge_contractibility",
     "enumerate_cuts",
     "evaluate_cut",
     "format_edgelist",

@@ -157,19 +157,6 @@ def _contractibility(num: int, den: int, maximize: bool) -> Contractibility:
     return NEGATIVE_INFINITY
 
 
-def edge_contractibility(
-    t: RootedTree, e: EdgeId, objective: Objective = Objective.MAXIMIZE
-) -> Contractibility:
-    """Contractibility of ``e`` in the uncontracted tree ``t``."""
-    kids = t.children[e]
-    if not kids:
-        raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-    gap = sum((t.weights[c] for c in kids), start=Fraction(0)) - t.weights[e]
-    return _contractibility(
-        gap.numerator, gap.denominator * (len(kids) - 1), objective is Objective.MAXIMIZE
-    )
-
-
 class ContractionStep(NamedTuple):
     """One contraction, for traces: the edge, its contractibility when taken,
     the root average right after, and whether the merge touched the root."""
@@ -377,16 +364,14 @@ class ContractionState:
     def cut_edges(self) -> frozenset[EdgeId]:
         """Live out-edge boundary of the root supernode, as original edges.
 
-        The supernode is the root and everything below it through contracted
-        edges, so a walk down those edges meets each cut edge once.
+        The supernode is the root and every contracted edge that finds it;
+        the cut is every edge whose tail lies in it, less the supernode.
         """
-        children, uf = self.tree.children, self._uf
-        cut = []
-        stack = [self.tree.root]
-        while stack:
-            for c in children[stack.pop()]:
-                (cut if uf[c] == c else stack).append(c)
-        return frozenset(cut)
+        root, parent, find = self.tree.root, self.tree.parent, self._find
+        inside = {root}
+        inside.update(s[0] for s in self._steps if find(s[0]) == root)
+        tail_inside = map(inside.__contains__, parent)
+        return frozenset(compress(range(len(parent)), tail_inside)) - inside
 
     @property
     def contractions(self) -> list[EdgeId]:

@@ -128,18 +128,11 @@ class LinkageTable:
         heights = map(Fraction, self.hnum, self.hden)
         return tuple(map(Merge, self.left, self.right, heights, self.size))
 
-    def cluster_size(self, index: int) -> int:
-        return 1 if index < self.n_items else self.size[index - self.n_items]
-
     def cluster_height(self, index: int) -> Fraction:
         if index < self.n_items:
             return _ZERO
         k = index - self.n_items
         return Fraction(self.hnum[k], self.hden[k])
-
-    def cluster_label(self, index: int) -> str:
-        """Items keep their index as label; merged clusters get a c-prefix."""
-        return str(index) if index < self.n_items else f"c{index}"
 
 
 @dataclass(frozen=True)
@@ -158,9 +151,6 @@ class Partition:
 
     def __len__(self):
         return len(self.communities)
-
-    def as_sets(self) -> list[set[str]]:
-        return [set(c) for c in self.communities]
 
     def ordered(self) -> tuple[tuple[str, ...], ...]:
         """Each community's members, numeric labels numerically and first."""
@@ -221,7 +211,6 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     # k, and an item is new at its only merge. LinkageTable's validation
     # makes the merges exactly one binary tree, rooted at cluster 2n - 2.
     parent: list[int | None] = [None] * node_count
-    children: list[tuple[int, ...]] = [()] * node_count
     wnum = [0] * node_count
     wden = [1] * node_count
     labels: list[str] = []
@@ -230,7 +219,6 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     for k, (left, right, hn, hd) in enumerate(zip(table.left, table.right, hnum, hden)):
         u = len(labels)
         labels.append(f"c{n + k}")
-        pair = []
         for side in (left, right):
             if side < n:
                 gn, gd = hn, hd
@@ -253,15 +241,11 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
                 )
             parent[c] = u
             wnum[c], wden[c] = (gn, gd) if gap_weights else (hn, hd)
-            pair.append(c)
-        a, b = pair
-        children[u] = (a, b) if a < b else (b, a)
         cluster_node.append(u)
     return RootedTree(
         node_count=node_count,
         root=cluster_node[-1],
         parent=tuple(parent),
-        children=tuple(children),
         wnum=tuple(wnum),
         wden=tuple(wden),
         labels=tuple(labels),

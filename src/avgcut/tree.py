@@ -2,8 +2,10 @@
 
 Every non-root node has exactly one in-edge, so the head node's id doubles
 as the edge id; there is no separate edge table. Node ids are dense ints
-assigned by first appearance in the input edge list, and children lists are
-kept sorted by id so every traversal downstream is deterministic.
+assigned by first appearance in the input edge list. The structure is stored
+once, as each node's parent; ``children`` is a view of it, built on first
+use with each list sorted by id so every traversal downstream is
+deterministic. The cut path never builds it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class RootedTree:
         node_count: number of nodes; ids are 0..node_count-1.
         root: id of the unique node with no parent.
         parent: per-node parent id, None for the root.
-        children: per-node tuple of child ids, sorted ascending.
         wnum, wden: per-edge weight ``wnum[v] / wden[v]`` indexed by head id,
             in lowest terms with ``wden[v] >= 1``; the root slot is ``0/1``.
         labels: per-node text label, unique across the tree.
@@ -47,11 +48,20 @@ class RootedTree:
     node_count: int
     root: NodeId
     parent: tuple[NodeId | None, ...]
-    children: tuple[tuple[NodeId, ...], ...]
     wnum: tuple[int, ...]
     wden: tuple[int, ...]
     labels: tuple[str, ...]
     label_index: dict[str, NodeId] = field(repr=False, compare=False, default_factory=dict)
+
+    @cached_property
+    def children(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Per-node tuple of child ids, sorted ascending. Built from
+        ``parent`` on first use and kept."""
+        kids = [[] for _ in range(self.node_count)]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(v)
+        return tuple(map(tuple, kids))
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -77,29 +87,9 @@ class RootedTree:
 
     # --- elementary queries ------------------------------------------- #
 
-    def is_leaf(self, v: NodeId) -> bool:
-        return not self.children[v]
-
-    def leaves(self) -> frozenset[NodeId]:
-        """All nodes with no out-edges."""
-        return frozenset(v for v in range(self.node_count) if not self.children[v])
-
     def edges(self) -> Iterator[EdgeId]:
         """Every edge id, ascending (= every non-root node id)."""
         return (v for v in range(self.node_count) if v != self.root)
-
-    def out_edges(self, v: NodeId) -> tuple[EdgeId, ...]:
-        """Edge ids leaving ``v``, in canonical (ascending head id) order."""
-        return self.children[v]
-
-    def internal_edges(self) -> list[EdgeId]:
-        """Edges whose head is not a leaf; the only contraction candidates."""
-        return [v for v in self.edges() if self.children[v]]
-
-    def edge_weight(self, e: EdgeId) -> Fraction:
-        if e == self.root:
-            raise TreeError("the root has no in-edge")
-        return self.weights[e]
 
     def tail(self, e: EdgeId) -> NodeId:
         """The parent endpoint of edge ``e`` (its head is ``e`` itself)."""
@@ -122,13 +112,6 @@ class RootedTree:
 
     def node_id(self, label: str) -> NodeId:
         return self.label_index[label]
-
-    def edge_by_child(self, child_label: str) -> EdgeId:
-        """The edge whose head carries ``child_label``."""
-        v = self.label_index[child_label]
-        if v == self.root:
-            raise TreeError(f"{child_label!r} is the root; it has no in-edge")
-        return v
 
 
 def from_edges(edges: Iterable[tuple[str, str, Fraction]]) -> RootedTree:
@@ -182,19 +165,22 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
     parentless nodes have parent None and weight 0/1."""
     labels = tuple(ids)
     n = len(labels)
-    # Ascending v, so every children list comes out sorted; the extra last
-    # list collects the parentless nodes.
-    children = [[] for _ in range(n + 1)]
-    for v, p in enumerate(parent):
-        children[n if p is None else p].append(v)
-    roots = children.pop()
-    if len(roots) != 1:
+    roots = parent.count(None)
+    if roots != 1:
         if not roots:
             raise NotATreeError("no root: every label has a parent (cycle)")
-        names = ", ".join(repr(labels[v]) for v in roots)
+        names = ", ".join(repr(labels[v]) for v, p in enumerate(parent) if p is None)
         raise NotATreeError(f"not connected: multiple parentless labels ({names})")
-    root = roots[0]
-    children = tuple(map(tuple, children))  # frees the lists: a lower peak
+    root = parent.index(None)
+    tree = RootedTree(
+        node_count=n,
+        root=root,
+        parent=tuple(parent),
+        wnum=tuple(wnum),
+        wden=tuple(wden),
+        labels=labels,
+        label_index=ids,
+    )
 
     # Ids in top-down order (the root is 0 and every parent id is below its
     # child's, as in any edge list read parent-first) rule out a cycle: each
@@ -202,6 +188,7 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
     # node has one parent, so walking down from the root meets each node at
     # most once; it misses the nodes of any cycle.
     if root or not all(map(lt, islice(parent, 1, None), range(1, n))):
+        children = tree.children
         seen = 1
         level = [root]
         while level:
@@ -212,17 +199,7 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
 
     if wnum.count(0) > 1:  # the root's slot is the one zero expected
         warnings.warn("tree contains zero-weight edges", ZeroWeightWarning, stacklevel=3)
-
-    return RootedTree(
-        node_count=n,
-        root=root,
-        parent=tuple(parent),
-        children=children,
-        wnum=tuple(wnum),
-        wden=tuple(wden),
-        labels=labels,
-        label_index=ids,
-    )
+    return tree
 
 
 def build_tree(edges: Iterable[tuple[str, str, str]]) -> RootedTree:

@@ -12,12 +12,12 @@ from typing import Iterator
 import avgcut
 from avgcut import (
     DEFAULT_CUT_LIMIT,
+    ContractionState,
     CutResult,
     InternalSubtree,
     Objective,
     RootedTree,
     brute_force_optimum,
-    edge_contractibility,
     evaluate_cut,
     from_edges,
     internal_subtree,
@@ -214,7 +214,6 @@ def assemble_reference(ids: dict, parent: list, wnum: list, wden: list) -> Roote
         node_count=n,
         root=roots[0],
         parent=tuple(parent),
-        children=tuple(map(tuple, children)),
         wnum=tuple(wnum),
         wden=tuple(wden),
         labels=labels,
@@ -297,8 +296,20 @@ def prime_denominator_path(n_edges: int) -> RootedTree:
     return quiet_tree(rows)
 
 
+def cut_edges_by_walk(state: ContractionState) -> frozenset[int]:
+    """``state.cut_edges()`` by a walk down the tree's children from the root
+    through contracted edges: every live edge it meets is a cut edge."""
+    t = state.tree
+    cut = []
+    stack = [t.root]
+    while stack:
+        for c in t.children[stack.pop()]:
+            (cut if state.is_alive(c) else stack).append(c)
+    return frozenset(cut)
+
+
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
-    return frozenset(t.edge_by_child(lb) for lb in labels)
+    return frozenset(t.node_id(lb) for lb in labels)
 
 
 class _ReferencePrep:
@@ -527,7 +538,7 @@ def check_push_down_gain(t: RootedTree, cut, e: int) -> bool:
     _require(e in edges, f"edge {e} is not in the cut")
     _require(bool(t.children[e]), f"edge {e} ends in a leaf")
     total, size, average = evaluate_cut(t, edges)
-    lam = edge_contractibility(t, e)
+    lam = ContractionState(t).contractibility(e)
     _require(lam > average, "contractibility does not exceed the cut average")
 
     swapped = (edges - {e}) | set(t.children[e])
@@ -548,12 +559,13 @@ def check_pull_up_dichotomy(t: RootedTree, cut) -> bool:
     inside = internal_subtree(t, edges).nodes
     _require(len(inside) > 1, "the cut is already the root's own boundary")
     total, size, average = evaluate_cut(t, edges)
+    state = ContractionState(t)
 
     for v in inside:
         if v == t.root or any(c in inside for c in t.children[v]):
             continue
         # v is a frontier node: inside, but all of its out-edges are cut.
-        lam = edge_contractibility(t, v)
+        lam = state.contractibility(v)
         if lam > average:
             continue
         swapped = (edges - set(t.children[v])) | {v}
@@ -574,13 +586,14 @@ def check_contraction_keeps_optimum(
     """Contracting the edge of maximal contractibility, when it beats the
     root average, leaves the brute-force optimum average unchanged.
     """
-    internal = t.internal_edges()
+    internal = [e for e in t.edges() if t.children[e]]
     if not internal:
         raise NotApplicableError("the tree has no internal edges")
+    state = ContractionState(t)
     best_edge = min(internal)
-    best_lam = edge_contractibility(t, best_edge)
+    best_lam = state.contractibility(best_edge)
     for e in internal:
-        lam = edge_contractibility(t, e)
+        lam = state.contractibility(e)
         if lam > best_lam:  # ties keep the smallest edge id
             best_edge, best_lam = e, lam
     root_kids = t.children[t.root]

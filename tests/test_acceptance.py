@@ -11,11 +11,11 @@ from fractions import Fraction
 import pytest
 
 from avgcut import (
+    ContractionState,
     Objective,
     brute_force_optimum,
     cluster,
     count_cuts,
-    edge_contractibility,
     enumerate_cuts,
     evaluate_cut,
     is_valid_cut,
@@ -119,11 +119,12 @@ def test_criterion_3_exchange_property_suite(capsys):
             exchange_trees.append(t)
 
     for t in exchange_trees:
-        root_boundary = frozenset(t.out_edges(t.root))
+        root_boundary = frozenset(t.children[t.root])
+        state = ContractionState(t)
         for _subtree, cut in enumerate_cuts(t):
             _total, _size, average = evaluate_cut(t, cut)
             for e in cut:
-                if t.children[e] and edge_contractibility(t, e) > average:
+                if t.children[e] and state.contractibility(e) > average:
                     push_down_pairs += 1
                     failures += not check_push_down_gain(t, cut, e)
             if cut != root_boundary:
@@ -281,7 +282,7 @@ def test_criterion_8_clustering_pipeline(capsys):
     tree = linkage_to_tree(table, "gap")
     oracle_best = brute_force_optimum(tree, Objective.MAXIMIZE)
     ok = (
-        partition.as_sets() == expected
+        [set(c) for c in partition] == expected
         and oracle_best.average == result.average
         and oracle_best.cut == result.cut
     )

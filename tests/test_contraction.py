@@ -12,7 +12,6 @@ from avgcut import (
     ContractionState,
     ContractionStep,
     Objective,
-    edge_contractibility,
     evaluate_cut,
     is_valid_cut,
     linkage_to_tree,
@@ -25,6 +24,7 @@ from avgcut.errors import DeadEdgeError, EmptyCutError, LeafHeadError
 from avgcut.io import edge_rows
 
 from .helpers import (
+    cut_edges_by_walk,
     edge_set_by_children,
     figure_max_cut_children,
     path_tree,
@@ -90,57 +90,56 @@ class TestContractibilityType:
 class TestEdgeContractibility:
     def test_figure_weight2_root_edge(self, figure_tree):
         # head a2 has out-edges 3,3,3: (9 - 2) / 2
-        lam = edge_contractibility(figure_tree, figure_tree.edge_by_child("a2"))
+        lam = ContractionState(figure_tree).contractibility(figure_tree.node_id("a2"))
         assert lam == Fraction(7, 2)
 
     def test_figure_weight3_root_edge(self, figure_tree):
         # head a3 has out-edges 1,1,1: (3 - 3) / 2
-        lam = edge_contractibility(figure_tree, figure_tree.edge_by_child("a3"))
+        lam = ContractionState(figure_tree).contractibility(figure_tree.node_id("a3"))
         assert lam == 0
 
     def test_single_out_edge_positive_gap(self):
         t = path_tree(5, 10)
-        assert edge_contractibility(t, t.edge_by_child("n1")) is POSITIVE_INFINITY
+        assert ContractionState(t).contractibility(t.node_id("n1")) is POSITIVE_INFINITY
 
     def test_single_out_edge_negative_gap(self):
         t = path_tree(10, 5)
-        assert edge_contractibility(t, t.edge_by_child("n1")) is NEGATIVE_INFINITY
+        assert ContractionState(t).contractibility(t.node_id("n1")) is NEGATIVE_INFINITY
 
     def test_single_out_edge_neutral_depends_on_objective(self):
         t = path_tree(5, 5)
-        e = t.edge_by_child("n1")
-        assert edge_contractibility(t, e, Objective.MAXIMIZE) is NEGATIVE_INFINITY
-        assert edge_contractibility(t, e, Objective.MINIMIZE) is POSITIVE_INFINITY
+        e = t.node_id("n1")
+        assert ContractionState(t, Objective.MAXIMIZE).contractibility(e) is NEGATIVE_INFINITY
+        assert ContractionState(t, Objective.MINIMIZE).contractibility(e) is POSITIVE_INFINITY
 
     def test_leaf_edge_rejected(self):
         t = path_tree(5, 10)
         with pytest.raises(LeafHeadError):
-            edge_contractibility(t, t.edge_by_child("n2"))
+            ContractionState(t).contractibility(t.node_id("n2"))
 
-    def test_state_matches_static_before_contracting(self, figure_tree):
-        state = ContractionState(figure_tree)
-        for e in figure_tree.internal_edges():
-            assert state.contractibility(e) == edge_contractibility(figure_tree, e)
+    def test_root_rejected(self, figure_tree):
+        with pytest.raises(ValueError, match="not an edge id"):
+            ContractionState(figure_tree).contractibility(figure_tree.root)
 
 
 class TestContract:
     def test_figure_root_merge_updates_average(self, figure_tree):
         state = ContractionState(figure_tree)
         assert state.root_average == 2
-        state.contract(figure_tree.edge_by_child("a2"))
+        state.contract(figure_tree.node_id("a2"))
         assert state.root_average == Fraction(13, 5)
 
     def test_path_merge(self):
         t = path_tree(5, 10)
         state = ContractionState(t)
-        state.contract(t.edge_by_child("n1"))
+        state.contract(t.node_id("n1"))
         assert state.root_average == 10
         assert state.live_out_count(t.root) == 1
 
     def test_dead_edge_rejected(self):
         t = path_tree(5, 10)
         state = ContractionState(t)
-        e = t.edge_by_child("n1")
+        e = t.node_id("n1")
         state.contract(e)
         with pytest.raises(DeadEdgeError):
             state.contract(e)
@@ -151,15 +150,15 @@ class TestContract:
         t = path_tree(5, 10)
         state = ContractionState(t)
         with pytest.raises(LeafHeadError):
-            state.contract(t.edge_by_child("n2"))
+            state.contract(t.node_id("n2"))
 
     def test_requeues_the_merged_supernodes_in_edge(self, figure_tree):
         t = figure_tree
         state = ContractionState(t)
-        b11 = t.edge_by_child("b11")
-        a1 = t.edge_by_child("a1")
+        b11 = t.node_id("b11")
+        a1 = t.node_id("a1")
         before_others = {
-            e: state.contractibility(e) for e in t.internal_edges() if e != a1 and e != b11
+            e: state.contractibility(e) for e in t.edges() if t.children[e] and e != a1 and e != b11
         }
         assert state.contractibility(a1) == Fraction(5, 2)  # (6 - 1) / 2
         state.contract(b11)
@@ -171,7 +170,7 @@ class TestContract:
     def test_aggregates_after_merge(self, figure_tree):
         t = figure_tree
         state = ContractionState(t)
-        state.contract(t.edge_by_child("b11"))
+        state.contract(t.node_id("b11"))
         a1 = t.node_id("a1")
         assert state.live_out_sum(a1) == 13  # 2 + 2 + 3 + 3 + 3
         assert state.live_out_count(a1) == 5
@@ -230,7 +229,10 @@ class TestOptimalAverageCut:
 
     def test_cut_edges_walk_equals_a_full_scan(self):
         """After every contraction of random runs, under both objectives, the
-        cut is every live edge whose tail lies in the root's supernode."""
+        cut is every live edge whose tail lies in the root's supernode, and
+        every live edge a walk down the children through contracted edges
+        meets: on random trees, on the same trees with their edge lines
+        reversed (so ids are not top-down) and on linkage trees."""
 
         def scan(state):
             t = state.tree
@@ -241,18 +243,25 @@ class TestOptimalAverageCut:
             )
 
         rng = random.Random(17)
-        for _ in range(60):
-            t = random_tree(rng, max_nodes=40)
+        trees = [random_tree(rng, max_nodes=40) for _ in range(60)]
+        trees += [quiet_tree(reversed(edge_rows(t, t.edges()))) for t in trees[::2]]
+        trees += [
+            linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, rng.randint(2, 80))), scheme)
+            for scheme in ("gap", "height")
+            for _ in range(10)
+        ]
+        assert sum(t.root != 0 for t in trees) > 40
+        for t in trees:
             for objective in Objective:
                 state = ContractionState(t, objective)
-                assert state.cut_edges() == scan(state)
+                assert state.cut_edges() == scan(state) == cut_edges_by_walk(state)
                 # A random prefix of contractions, then the greedy run.
-                internal = t.internal_edges()
+                internal = [e for e in t.edges() if t.children[e]]
                 for e in rng.sample(internal, rng.randint(0, len(internal))):
                     state.contract(e)
-                    assert state.cut_edges() == scan(state)
+                    assert state.cut_edges() == scan(state) == cut_edges_by_walk(state)
                 state.run()
-                assert state.cut_edges() == scan(state)
+                assert state.cut_edges() == scan(state) == cut_edges_by_walk(state)
                 assert state.result().size == len(state.cut_edges())
 
 
@@ -284,7 +293,7 @@ class TestTrace:
     def test_pending_edges_are_live_internal(self, figure_tree):
         state = run_contraction(figure_tree)
         expected = {
-            e for e in figure_tree.internal_edges() if state.is_alive(e)
+            e for e in figure_tree.edges() if figure_tree.children[e] and state.is_alive(e)
         }
         assert state.pending_edges() == expected
 
@@ -425,7 +434,7 @@ class TestEvaluateCut:
 
     def test_two_edge_path_all_edges(self):
         t = path_tree(5, 10)
-        total, size, average = evaluate_cut(t, {t.edge_by_child("n1"), t.edge_by_child("n2")})
+        total, size, average = evaluate_cut(t, {t.node_id("n1"), t.node_id("n2")})
         assert (total, size, average) == (15, 2, Fraction(15, 2))
 
     def test_empty_cut_rejected(self):
@@ -649,7 +658,7 @@ class TestAgainstFractionReference:
 
     def test_siblings_one_float_apart_above_the_bound(self):
         t = quiet_tree(_SIBLINGS_ONE_FLOAT)
-        x, y = t.edge_by_child("x"), t.edge_by_child("y")
+        x, y = t.node_id("x"), t.node_id("y")
         assert x < y and float(2**53 + 1) == float(2**53)
         assert ContractionState(t)._plain
         assert optimal_average_cut(t, Objective.MAXIMIZE).contractions == (y,)

@@ -65,10 +65,11 @@ def two_scale_table():
 class TestLinkageTable:
     def test_valid_table(self, three_item_table):
         assert three_item_table.n_items == 3
-        assert three_item_table.cluster_size(4) == 3
+        assert three_item_table.size == (2, 3)
         assert three_item_table.cluster_height(3) == 1
-        assert three_item_table.cluster_label(0) == "0"
-        assert three_item_table.cluster_label(4) == "c4"
+        t = linkage_to_tree(three_item_table)
+        assert t.labels[t.root] == "c4"
+        assert t.labels[t.parent[t.node_id("0")]] == "c3"
 
     def test_item_height_is_a_shared_zero(self, three_item_table):
         assert three_item_table.cluster_height(0) == 0
@@ -106,22 +107,22 @@ class TestLinkageToTree:
     def test_single_merge_gap(self):
         t = linkage_to_tree(make_table([(0, 1, 4, 2)]), "gap")
         assert t.node_count == 3
-        assert t.edge_weight(t.edge_by_child("0")) == 4
-        assert t.edge_weight(t.edge_by_child("1")) == 4
+        assert t.weights[t.node_id("0")] == 4
+        assert t.weights[t.node_id("1")] == 4
         assert t.labels[t.root] == "c2"
 
     def test_three_item_gap_weights(self, three_item_table):
         t = linkage_to_tree(three_item_table, "gap")
-        assert t.edge_weight(t.edge_by_child("0")) == 1
-        assert t.edge_weight(t.edge_by_child("1")) == 1
-        assert t.edge_weight(t.edge_by_child("c3")) == 4
-        assert t.edge_weight(t.edge_by_child("2")) == 5
+        assert t.weights[t.node_id("0")] == 1
+        assert t.weights[t.node_id("1")] == 1
+        assert t.weights[t.node_id("c3")] == 4
+        assert t.weights[t.node_id("2")] == 5
 
     def test_three_item_height_weights(self, three_item_table):
         t = linkage_to_tree(three_item_table, "height")
-        assert t.edge_weight(t.edge_by_child("0")) == 1
-        assert t.edge_weight(t.edge_by_child("c3")) == 5
-        assert t.edge_weight(t.edge_by_child("2")) == 5
+        assert t.weights[t.node_id("0")] == 1
+        assert t.weights[t.node_id("c3")] == 5
+        assert t.weights[t.node_id("2")] == 5
 
     def test_binary_out_degree(self, two_scale_table):
         t = linkage_to_tree(two_scale_table)
@@ -283,14 +284,14 @@ class TestLinkageCsvRoundTrip:
 class TestCommunities:
     def test_root_boundary_three_items(self, three_item_table):
         t = linkage_to_tree(three_item_table, "gap")
-        part = communities_from_cut(t, set(t.out_edges(t.root)))
-        assert part.as_sets() == [{"0", "1"}, {"2"}]
+        part = communities_from_cut(t, set(t.children[t.root]))
+        assert [set(c) for c in part] == [{"0", "1"}, {"2"}]
 
     def test_all_leaf_edges_gives_singletons(self, three_item_table):
         t = linkage_to_tree(three_item_table, "gap")
-        cut = {e for e in t.edges() if t.is_leaf(e)}
+        cut = {e for e in t.edges() if not t.children[e]}
         part = communities_from_cut(t, cut)
-        assert part.as_sets() == [{"0"}, {"1"}, {"2"}]
+        assert [set(c) for c in part] == [{"0"}, {"1"}, {"2"}]
 
     def test_figure_output_cut_communities(self, figure_tree):
         cut = edge_set_by_children(figure_tree, figure_max_cut_children())
@@ -302,14 +303,14 @@ class TestCommunities:
     def test_invalid_cut_rejected(self, three_item_table):
         t = linkage_to_tree(three_item_table, "gap")
         with pytest.raises(InvalidCutError):
-            communities_from_cut(t, {t.edge_by_child("0")})
+            communities_from_cut(t, {t.node_id("0")})
 
     def test_numeric_label_ordering(self):
         # 11 items in a caterpillar: communities must sort 2 before 10
         rows = [(0, 1, 1, 2)] + [(10 + k, k + 1, 1, k + 2) for k in range(1, 10)]
         table = make_table(rows)
         t = linkage_to_tree(table, "gap")
-        cut = {e for e in t.edges() if t.is_leaf(e)}
+        cut = {e for e in t.edges() if not t.children[e]}
         part = communities_from_cut(t, cut)
         firsts = [min(int(m) for m in c) for c in part]
         assert firsts == sorted(firsts)
@@ -371,17 +372,17 @@ class TestCommunities:
 class TestCluster:
     def test_single_merge(self):
         part, result = cluster(make_table([(0, 1, 4, 2)]))
-        assert part.as_sets() == [{"0"}, {"1"}]
+        assert [set(c) for c in part] == [{"0"}, {"1"}]
         assert result.average == 4
 
     def test_three_item_maximize_gap(self, three_item_table):
         part, result = cluster(three_item_table, Objective.MAXIMIZE, "gap")
-        assert part.as_sets() == [{"0", "1"}, {"2"}]
+        assert [set(c) for c in part] == [{"0", "1"}, {"2"}]
         assert result.average == Fraction(9, 2)
 
     def test_two_scale_recovers_triples(self, two_scale_table):
         part, result = cluster(two_scale_table, Objective.MAXIMIZE, "gap")
-        assert part.as_sets() == [
+        assert [set(c) for c in part] == [
             {"0", "1", "2"},
             {"3", "4", "5"},
             {"6", "7", "8"},
@@ -418,7 +419,7 @@ class TestRefinement:
         from avgcut import evaluate_cut
 
         t = linkage_to_tree(two_scale_table, "gap")
-        _, _, baseline = evaluate_cut(t, set(t.out_edges(t.root)))
+        _, _, baseline = evaluate_cut(t, set(t.children[t.root]))
         assert optimal_average_cut(t).average >= baseline
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from avgcut import (
     ContractionState,
+    Objective,
     format_edgelist,
     from_edges,
     parse_edgelist,
     parse_newick,
+    optimal_average_cut,
     parse_weight,
 )
 from avgcut.errors import (
@@ -38,11 +40,11 @@ class TestParseEdgelist:
     def test_tabs_spaces_comments_blanks(self):
         text = "# header comment\n\nr\ta  1\n  # indented comment\na\tx\t0.5\n\n"
         t = parse_edgelist(text)
-        assert t.edge_weight(t.edge_by_child("x")) == Fraction(1, 2)
+        assert t.weights[t.node_id("x")] == Fraction(1, 2)
 
     def test_figure_file(self, figure_text):
         t = parse_edgelist(figure_text)
-        assert len(t.leaves()) == 27
+        assert sum(not kids for kids in t.children) == 27
         assert ContractionState(t).root_average == 2
 
     def test_negative_weight_line_numbered(self):
@@ -154,8 +156,8 @@ class TestParseEdgelist:
     def test_5000_digit_weights(self):
         big = "9" * 5000
         t = parse_edgelist(f"r a {big}\nr b {big}/{big}7\n")
-        assert t.wnum[t.edge_by_child("a")] == 10**5000 - 1
-        assert t.edge_weight(t.edge_by_child("b")) == Fraction(10**5000 - 1, 10**5001 - 3)
+        assert t.wnum[t.node_id("a")] == 10**5000 - 1
+        assert t.weights[t.node_id("b")] == Fraction(10**5000 - 1, 10**5001 - 3)
 
     def test_weight_past_the_digit_bound_is_a_short_line_numbered_error(self):
         with pytest.raises(MalformedWeightError) as exc:
@@ -193,22 +195,22 @@ class TestFormatEdgelist:
     def test_exact_weights_survive(self):
         t = parse_edgelist("r a 0.1\na x 1/3\n")
         again = parse_edgelist(format_edgelist(t))
-        assert again.edge_weight(again.edge_by_child("a")) == Fraction(1, 10)
-        assert again.edge_weight(again.edge_by_child("x")) == Fraction(1, 3)
+        assert again.weights[again.node_id("a")] == Fraction(1, 10)
+        assert again.weights[again.node_id("x")] == Fraction(1, 3)
 
 
 class TestParseNewick:
     def test_star(self):
         t = parse_newick("(A:1,B:2,C:3)R;")
         assert t.labels[t.root] == "R"
-        assert len(t.leaves()) == 3
+        assert sum(not kids for kids in t.children) == 3
         assert ContractionState(t).root_average == 2
 
     def test_nested(self):
         t = parse_newick("((X:3,Y:3,Z:3)a:1)R;")
         assert t.node_count == 5
-        assert t.edge_weight(t.edge_by_child("a")) == 1
-        assert len(t.out_edges(t.root)) == 1
+        assert t.weights[t.node_id("a")] == 1
+        assert len(t.children[t.root]) == 1
 
     def test_missing_branch_length(self):
         with pytest.raises(MissingBranchLengthError):
@@ -228,12 +230,12 @@ class TestParseNewick:
 
     def test_auto_named_internals(self):
         t = parse_newick("((A:1,B:2):3,C:4)R;")
-        inner = t.tail(t.edge_by_child("A"))
+        inner = t.tail(t.node_id("A"))
         assert t.labels[inner] == "_1"
 
     def test_auto_name_skips_taken(self):
         t = parse_newick("((A:1,_1:2):3)R;")
-        inner = t.tail(t.edge_by_child("A"))
+        inner = t.tail(t.node_id("A"))
         assert t.labels[inner] == "_2"
 
     def test_unnamed_root(self):
@@ -247,7 +249,7 @@ class TestParseNewick:
     def test_whitespace_tolerated(self):
         t = parse_newick(" ( A : 1 , B : 2 ) R ;\n")
         assert t.labels[t.root] == "R"
-        assert t.edge_weight(t.edge_by_child("A")) == 1
+        assert t.weights[t.node_id("A")] == 1
 
     def test_empty_parens(self):
         with pytest.raises(ParseError):
@@ -439,6 +441,28 @@ class TestParseNewickMatchesReference:
             parse_newick("(a:0,b:0)r;")
         assert [w.category for w in caught] == [ZeroWeightWarning]
         assert caught[0].filename == __file__
+
+
+class TestCutPathLeavesChildrenUnbuilt:
+    """On top-down ids the parsers validate the tree and the engine finds
+    its cut without the ``children`` view."""
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_edgelist, "r a 1\na b 3\na c 1\nr d 2\nd e 5\nd f 1/3\n"),
+            (parse_newick, "((b:3,c:1)a:1,(e:5,f:1/3)d:2)r;"),
+        ],
+        ids=["edgelist", "newick"],
+    )
+    def test_no_children_after_a_cut(self, parse, text):
+        t = parse(text)
+        assert t.root == 0 and all(t.parent[v] < v for v in t.edges())
+        for objective in Objective:
+            optimal_average_cut(t, objective)
+        assert "children" not in vars(t)
+        assert t.children[t.root] == (t.node_id("a"), t.node_id("d"))
+        assert "children" in vars(t)  # built on first use, then kept
 
 
 _BAD_WEIGHT_TEXT = st.one_of(

@@ -84,8 +84,8 @@ class TestEnumerateCuts:
         t = path_tree(5, 10)
         cuts = {cut for _subtree, cut in enumerate_cuts(t)}
         assert cuts == {
-            frozenset({t.edge_by_child("n1")}),
-            frozenset({t.edge_by_child("n2")}),
+            frozenset({t.node_id("n1")}),
+            frozenset({t.node_id("n2")}),
         }
 
     def test_star_yields_single_cut(self):
@@ -111,7 +111,7 @@ class TestEnumerateCuts:
     def test_every_root_leaf_path_hits_cut_once(self, figure_tree):
         t = figure_tree
         for _subtree, cut in enumerate_cuts(t):
-            for leaf in t.leaves():
+            for leaf in (v for v, kids in enumerate(t.children) if not kids):
                 hits = 0
                 v = leaf
                 while v != t.root:
@@ -122,11 +122,11 @@ class TestEnumerateCuts:
 
 class TestIsValidCut:
     def test_root_boundary_is_valid(self, figure_tree):
-        assert is_valid_cut(figure_tree, set(figure_tree.out_edges(figure_tree.root)))
+        assert is_valid_cut(figure_tree, set(figure_tree.children[figure_tree.root]))
 
     def test_nested_edges_invalid(self):
         t = path_tree(5, 10)
-        assert not is_valid_cut(t, {t.edge_by_child("n1"), t.edge_by_child("n2")})
+        assert not is_valid_cut(t, {t.node_id("n1"), t.node_id("n2")})
 
     def test_figure_output_cut_valid(self, figure_tree):
         cut = edge_set_by_children(figure_tree, figure_max_cut_children())
@@ -141,8 +141,8 @@ class TestIsValidCut:
         assert not is_valid_cut(figure_tree, {10**6})
 
     def test_partial_boundary_invalid(self, figure_tree):
-        cut = set(figure_tree.out_edges(figure_tree.root))
-        cut.discard(figure_tree.edge_by_child("a1"))
+        cut = set(figure_tree.children[figure_tree.root])
+        cut.discard(figure_tree.node_id("a1"))
         assert not is_valid_cut(figure_tree, cut)
 
     def test_internal_subtree_roundtrip(self, figure_tree):
@@ -202,52 +202,52 @@ class TestBruteForce:
 class TestPushDownGain:
     def test_path_root_cut(self):
         t = path_tree(5, 10)
-        e = t.edge_by_child("n1")
+        e = t.node_id("n1")
         assert check_push_down_gain(t, {e}, e)
 
     def test_figure_root_boundary(self, figure_tree):
         t = figure_tree
-        cut = set(t.out_edges(t.root))
-        assert check_push_down_gain(t, cut, t.edge_by_child("a2"))
+        cut = set(t.children[t.root])
+        assert check_push_down_gain(t, cut, t.node_id("a2"))
 
     def test_low_contractibility_rejected(self, figure_tree):
         t = figure_tree
-        cut = set(t.out_edges(t.root))  # average 2, a3's contractibility 0
+        cut = set(t.children[t.root])  # average 2, a3's contractibility 0
         with pytest.raises(PreconditionError):
-            check_push_down_gain(t, cut, t.edge_by_child("a3"))
+            check_push_down_gain(t, cut, t.node_id("a3"))
 
     def test_edge_not_in_cut_rejected(self, figure_tree):
         t = figure_tree
-        cut = set(t.out_edges(t.root))
+        cut = set(t.children[t.root])
         with pytest.raises(PreconditionError):
-            check_push_down_gain(t, cut, t.edge_by_child("b11"))
+            check_push_down_gain(t, cut, t.node_id("b11"))
 
     def test_leaf_edge_rejected(self):
         t = path_tree(5, 10)
-        cut = {t.edge_by_child("n2")}
+        cut = {t.node_id("n2")}
         with pytest.raises(PreconditionError):
-            check_push_down_gain(t, cut, t.edge_by_child("n2"))
+            check_push_down_gain(t, cut, t.node_id("n2"))
 
 
 class TestPullUpDichotomy:
     def test_path_deep_cut(self):
         t = path_tree(5, 10)
-        assert check_pull_up_dichotomy(t, {t.edge_by_child("n2")})
+        assert check_pull_up_dichotomy(t, {t.node_id("n2")})
 
     def test_figure_all_leaf_edges(self, figure_tree):
         t = figure_tree
-        cut = {e for e in t.edges() if t.is_leaf(e)}
+        cut = {e for e in t.edges() if not t.children[e]}
         assert len(cut) == 27
         assert check_pull_up_dichotomy(t, cut)
 
     def test_root_boundary_rejected(self, figure_tree):
         t = figure_tree
         with pytest.raises(PreconditionError):
-            check_pull_up_dichotomy(t, set(t.out_edges(t.root)))
+            check_pull_up_dichotomy(t, set(t.children[t.root]))
 
     def test_invalid_cut_rejected(self, figure_tree):
         with pytest.raises(PreconditionError):
-            check_pull_up_dichotomy(figure_tree, {figure_tree.edge_by_child("b11")})
+            check_pull_up_dichotomy(figure_tree, {figure_tree.node_id("b11")})
 
 
 class TestContractionKeepsOptimum:

@@ -16,7 +16,6 @@ from avgcut import (
     Objective,
     brute_force_optimum,
     count_cuts,
-    edge_contractibility,
     enumerate_cuts,
     evaluate_cut,
     format_edgelist,
@@ -82,7 +81,7 @@ class TestOptimalityAgainstOracle:
         total, size, average = evaluate_cut(t, result.cut)
         assert (total, size, average) == (result.total, result.size, result.average)
         assert average == state.root_average
-        assert len(result.contractions) <= len(t.internal_edges())
+        assert len(result.contractions) <= sum(bool(t.children[e]) for e in t.edges())
 
 
 class TestContractionStateInvariants:
@@ -92,7 +91,7 @@ class TestContractionStateInvariants:
         state = ContractionState(t)
         self._assert_consistent(t, state)
         while True:
-            live_internal = [e for e in t.internal_edges() if state.is_alive(e)]
+            live_internal = [e for e in t.edges() if t.children[e] and state.is_alive(e)]
             if not live_internal:
                 break
             state.contract(rng.choice(live_internal))
@@ -113,7 +112,7 @@ class TestContractionStateInvariants:
             assert state.live_out_count(v) == counts.get(r, 0)
         rr = state.representative(t.root)
         assert state.root_average == sums[rr] / counts[rr]
-        live_internal = {e for e in t.internal_edges() if state.is_alive(e)}
+        live_internal = {e for e in t.edges() if t.children[e] and state.is_alive(e)}
         assert state.pending_edges() == live_internal
 
     @PROPERTY_SETTINGS
@@ -158,7 +157,7 @@ class TestEnumerationInvariants:
             assert is_valid_cut(t, cut)
             assert subtree.boundary(t) == cut
             assert t.root in subtree.nodes
-            assert not any(t.is_leaf(v) for v in subtree.nodes)
+            assert all(t.children[v] for v in subtree.nodes)
             seen.add(cut)
         assert len(seen) == count_cuts(t)
 
@@ -166,7 +165,7 @@ class TestEnumerationInvariants:
     @given(trees(max_nodes=9))
     def test_each_root_leaf_path_crosses_once(self, t):
         assume(count_cuts(t) <= 1500)
-        leaves = t.leaves()
+        leaves = [v for v, kids in enumerate(t.children) if not kids]
         for _subtree, cut in enumerate_cuts(t):
             for leaf in leaves:
                 hits, v = 0, leaf
@@ -181,17 +180,18 @@ class TestExchangeProperties:
     @given(trees(max_nodes=10))
     def test_push_down_gain_always_holds(self, t):
         assume(count_cuts(t) <= 400)
+        state = ContractionState(t)
         for _subtree, cut in enumerate_cuts(t):
             _total, _size, average = evaluate_cut(t, cut)
             for e in cut:
-                if t.children[e] and edge_contractibility(t, e) > average:
+                if t.children[e] and state.contractibility(e) > average:
                     assert check_push_down_gain(t, cut, e)
 
     @PROPERTY_SETTINGS
     @given(trees(max_nodes=10))
     def test_pull_up_dichotomy_always_holds(self, t):
         assume(count_cuts(t) <= 400)
-        root_boundary = frozenset(t.out_edges(t.root))
+        root_boundary = frozenset(t.children[t.root])
         for _subtree, cut in enumerate_cuts(t):
             if cut != root_boundary:
                 assert check_pull_up_dichotomy(t, cut)
@@ -383,7 +383,7 @@ class TestPlainKeys:
             state = ContractionState(t, objective)
             assert state._plain
             sign = -1 if objective is Objective.MAXIMIZE else 1
-            ranks = {t.edge_by_child(h): _reference_rank(sign * a, b, 1) for h, a, b in heads}
+            ranks = {t.node_id(h): _reference_rank(sign * a, b, 1) for h, a, b in heads}
             entries = list(state._heap)
             for _, tie, e, _ in entries:
                 assert tie == (None if ranks[e][0] else 0)  # class 0: finite

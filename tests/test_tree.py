@@ -26,16 +26,16 @@ class TestBuildTree:
         t = build_tree([("r", "a", "1"), ("a", "x", "2")])
         assert t.node_count == 3
         assert t.labels[t.root] == "r"
-        assert t.leaves() == {t.node_id("x")}
-        assert t.edge_weight(t.edge_by_child("a")) == 1
-        assert t.edge_weight(t.edge_by_child("x")) == 2
+        assert [v for v, kids in enumerate(t.children) if not kids] == [t.node_id("x")]
+        assert t.weights[t.node_id("a")] == 1
+        assert t.weights[t.node_id("x")] == 2
 
     def test_figure_tree_shape(self, figure_tree):
         t = figure_tree
         assert t.node_count == 40
-        assert len(t.leaves()) == 27
+        assert sum(not kids for kids in t.children) == 27
         assert t.labels[t.root] == "v0"
-        root_weights = sorted(t.edge_weight(e) for e in t.out_edges(t.root))
+        root_weights = sorted(t.weights[e] for e in t.children[t.root])
         assert root_weights == [1, 2, 3]
 
     def test_duplicate_child_rejected(self):
@@ -69,16 +69,16 @@ class TestBuildTree:
 
     def test_decimal_parsed_exactly(self):
         t = build_tree([("r", "a", "0.1")])
-        assert t.edge_weight(t.edge_by_child("a")) == Fraction(1, 10)
+        assert t.weights[t.node_id("a")] == Fraction(1, 10)
 
     def test_rational_literal(self):
         t = build_tree([("r", "a", "1/3")])
-        assert t.edge_weight(t.edge_by_child("a")) == Fraction(1, 3)
+        assert t.weights[t.node_id("a")] == Fraction(1, 3)
 
     def test_zero_weight_warns_but_builds(self):
         with pytest.warns(ZeroWeightWarning):
             t = build_tree([("r", "a", "0"), ("r", "b", "1")])
-        assert t.edge_weight(t.edge_by_child("a")) == 0
+        assert t.weights[t.node_id("a")] == 0
 
     @pytest.mark.parametrize(
         "build",
@@ -105,7 +105,7 @@ class TestBuildTree:
 
     def test_int_str_and_fraction_weights(self):
         t = from_edges([("r", "a", 2), ("r", "b", "1/3"), ("a", "x", Fraction(5, 2))])
-        weights = [t.edge_weight(t.edge_by_child(c)) for c in ("a", "b", "x")]
+        weights = [t.weights[t.node_id(c)] for c in ("a", "b", "x")]
         assert weights == [2, Fraction(1, 3), Fraction(5, 2)]
         assert all(type(w) is Fraction for w in t.weights)
 
@@ -123,43 +123,45 @@ class TestBuildTree:
 class TestQueries:
     def test_leaves_of_path(self):
         t = path_tree(1, 2)
-        assert {t.labels[v] for v in t.leaves()} == {"n2"}
+        assert {t.labels[v] for v, kids in enumerate(t.children) if not kids} == {"n2"}
 
     def test_leaves_of_star(self):
         t = star_tree(1, 2, 3, 4)
-        assert len(t.leaves()) == 4
+        assert sum(not kids for kids in t.children) == 4
 
     def test_out_edges_of_leaf_empty(self):
         t = path_tree(1, 2)
-        assert t.out_edges(t.node_id("n2")) == ()
+        assert t.children[t.node_id("n2")] == ()
 
     def test_out_edges_of_mid_node(self):
         t = path_tree(1, 2)
-        assert t.out_edges(t.node_id("n1")) == (t.node_id("n2"),)
+        assert t.children[t.node_id("n1")] == (t.node_id("n2"),)
 
     def test_internal_edges_of_figure(self, figure_tree):
-        assert len(figure_tree.internal_edges()) == 12
+        t = figure_tree
+        assert sum(bool(t.children[e]) for e in t.edges()) == 12
 
     def test_internal_edges_of_star_empty(self):
-        assert star_tree(1, 2, 3).internal_edges() == []
+        t = star_tree(1, 2, 3)
+        assert [e for e in t.edges() if t.children[e]] == []
 
     def test_internal_edges_of_path(self):
         t = path_tree(1, 2, 3)  # n0 -> n1 -> n2 -> n3
-        labels = {t.labels[e] for e in t.internal_edges()}
+        labels = {t.labels[e] for e in t.edges() if t.children[e]}
         assert labels == {"n1", "n2"}
 
     def test_subtree_leaves_of_leaf_edge(self):
         t = path_tree(1, 2)
-        e = t.edge_by_child("n2")
+        e = t.node_id("n2")
         assert t.subtree_leaves(e) == {t.node_id("n2")}
 
     def test_subtree_leaves_of_mid_edge(self):
         t = path_tree(1, 2)
-        assert t.subtree_leaves(t.edge_by_child("n1")) == {t.node_id("n2")}
+        assert t.subtree_leaves(t.node_id("n1")) == {t.node_id("n2")}
 
     def test_subtree_leaves_of_figure_branch(self, figure_tree):
         t = figure_tree
-        got = {t.labels[v] for v in t.subtree_leaves(t.edge_by_child("a1"))}
+        got = {t.labels[v] for v in t.subtree_leaves(t.node_id("a1"))}
         assert got == {f"c1{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)}
 
 
@@ -178,7 +180,8 @@ class TestInvariants:
     def test_leaves_are_exactly_nonparents(self, figure_tree):
         t = figure_tree
         parents = {t.parent[v] for v in range(t.node_count) if v != t.root}
-        assert t.leaves() == set(range(t.node_count)) - parents
+        leaves = {v for v, kids in enumerate(t.children) if not kids}
+        assert leaves == set(range(t.node_count)) - parents
 
     def test_children_sorted(self, figure_tree):
         for kids in figure_tree.children:
@@ -231,22 +234,22 @@ class TestContractEdge:
         from .helpers import contract_edge
 
         t = path_tree(5, 10)
-        t2 = contract_edge(t, t.edge_by_child("n1"))
+        t2 = contract_edge(t, t.node_id("n1"))
         assert t2.node_count == 2
-        assert t2.edge_weight(t2.edge_by_child("n2")) == 10
+        assert t2.weights[t2.node_id("n2")] == 10
         assert t2.labels[t2.root] == "n0"
 
     def test_contract_preserves_other_weights(self, figure_tree):
         from .helpers import contract_edge
 
         t = figure_tree
-        t2 = contract_edge(t, t.edge_by_child("a2"))
+        t2 = contract_edge(t, t.node_id("a2"))
         assert t2.node_count == 39
         # a2's children now hang from the root
         for j in (1, 2, 3):
-            e = t2.edge_by_child(f"b2{j}")
+            e = t2.node_id(f"b2{j}")
             assert t2.labels[t2.tail(e)] == "v0"
-            assert t2.edge_weight(e) == 3
+            assert t2.weights[e] == 3
 
 
 @st.composite
