@@ -16,9 +16,10 @@ weights it holds, never with one scale shared by the whole tree. Its sign
 lets it start as the in-edge weight itself.
 
 A run is *plain* when the lcm ``D`` of all weight denominators is at most
-``_PLAIN_SCALE``; it is decided once, from the tree alone. A plain run
-scales every weight to the int ``weight * D``, so every ``_den`` is ``D``
-and a merge adds bare ints with nothing to cancel. Its finite
+``rational.PLAIN_SCALE``, as ``rational.plain_scale`` finds; it is decided
+once, from the tree alone. A plain run scales every weight to the int
+``weight * D``, so every ``_den`` is ``D`` and a merge adds bare ints with
+nothing to cancel. Its finite
 contractibilities are ``a / (D * b)`` with int ``a`` and ``1 <= b < n``, and
 the queue keys each by the int ``floor(a * n**2 / b)`` (oriented): two
 distinct values ``a / b`` and ``a' / b'`` differ by at least ``1 / (b *
@@ -51,13 +52,10 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
-from .rational import exact_str, parse_rational
+from .rational import exact_str, parse_rational, plain_scale
 from .tree import EdgeId, NodeId, RootedTree
 
 _FLOAT_MAX = sys.float_info.max
-# A run whose weight denominators have an lcm of at most this is plain: every
-# weight times that lcm is an int, and its heap keys are exact ints.
-_PLAIN_SCALE = 2**32
 
 
 class Objective(Enum):
@@ -228,14 +226,9 @@ class ContractionState:
         n = tree.node_count
         root = tree.root
 
-        # The common denominator, or the first partial lcm past the limit.
         wn, wd = tree.wnum, tree.wden
-        scale = 1
-        for q in set(wd):
-            scale = lcm(scale, q)
-            if scale > _PLAIN_SCALE:
-                break
-        self._plain = plain = scale <= _PLAIN_SCALE
+        scale = plain_scale(wd)
+        self._plain = plain = scale is not None
         if plain and scale != 1:
             wn = tree.scaled_weights[1]
             wd = (scale,) * n

@@ -20,9 +20,11 @@ from __future__ import annotations
 import csv
 import decimal
 import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -35,8 +37,15 @@ from .errors import (
     NegativeGapError,
     ParseError,
 )
-from .oracle import is_valid_cut
-from .rational import echo, exact_str, parse_rational, parse_rational_pair, ratio_str
+from .oracle import _cut_owners
+from .rational import (
+    echo,
+    exact_str,
+    parse_rational,
+    parse_rational_pair,
+    plain_scale,
+    ratio_str,
+)
 from .tree import RootedTree
 
 _ZERO = Fraction(0)  # the height of every item
@@ -81,45 +90,37 @@ class LinkageTable:
         for left, right, height, size in merges:
             height = parse_rational(height) if isinstance(height, str) else Fraction(height)
             rows.append((left, right, height.numerator, height.denominator, size))
-        self._fill(n_items, rows)
+        self._fill(n_items, *(zip(*rows) if rows else ((),) * 5))
 
     @classmethod
-    def _from_rows(cls, n_items: int, rows: list[tuple[int, int, int, int, int]]):
-        """A table from ``(left, right, hnum, hden, size)`` int rows whose
-        heights are in lowest terms."""
+    def _from_columns(cls, n_items: int, left, right, hnum, hden, size):
+        """A table from int columns whose heights are in lowest terms."""
         table = cls.__new__(cls)
-        table._fill(n_items, rows)
+        table._fill(n_items, left, right, hnum, hden, size)
         return table
 
-    def _fill(self, n_items: int, rows: list[tuple[int, int, int, int, int]]) -> None:
-        columns = tuple(zip(*rows)) if rows else ((),) * 5
+    def _fill(self, n_items: int, *columns) -> None:
         object.__setattr__(self, "n_items", n_items)
         for name, column in zip(("left", "right", "hnum", "hden", "size"), columns):
-            object.__setattr__(self, name, column)
-        n = n_items
+            object.__setattr__(self, name, tuple(column))
+        n, left, right, size = n_items, self.left, self.right, self.size
         if n < 2:
             raise LinkageError(f"need at least 2 items, got {n}")
-        if len(rows) != n - 1:
-            raise LinkageError(f"expected {n - 1} merges for {n} items, got {len(rows)}")
-        sizes = [1] * n  # per cluster index
+        if len(left) != n - 1:
+            raise LinkageError(f"expected {n - 1} merges for {n} items, got {len(left)}")
+        sizes = (1,) * n + size  # per cluster index
         used = bytearray(2 * n - 1)
-        for k, (a, b, _, _, merged) in enumerate(rows):
-            if a == b:
-                raise LinkageIndexError(f"merge {k} joins cluster {a} with itself")
-            for side in (a, b):
-                if not (0 <= side < n + k):
-                    raise LinkageIndexError(
-                        f"merge {k} references cluster {side}, valid range is 0..{n + k - 1}"
-                    )
-                if used[side]:
-                    raise LinkageIndexError(
-                        f"cluster {side} is merged twice (second time in merge {k})"
-                    )
-                used[side] = 1
-            expected = sizes[a] + sizes[b]
-            if merged != expected:
-                raise LinkageError(f"merge {k} claims size {merged}, children sum to {expected}")
-            sizes.append(merged)
+        # c is the index of the cluster the merge forms.
+        for c, a, b, merged in zip(range(n, 2 * n), left, right, size):
+            if (
+                a == b
+                or not (0 <= a < c and 0 <= b < c)
+                or used[a]
+                or used[b]
+                or merged != sizes[a] + sizes[b]
+            ):
+                raise _merge_error(c - n, n, a, b, merged, used, sizes)
+            used[a] = used[b] = 1
 
     @cached_property
     def merges(self) -> tuple[Merge, ...]:
@@ -193,6 +194,21 @@ def _sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(labels, key=_label_order(labels)))
 
 
+def _merge_error(k: int, n: int, a, b, merged, used: bytearray, sizes) -> LinkageError:
+    """The error for merge ``k``, the first that breaks a rule; the rules
+    are checked in this order."""
+    if a == b:
+        return LinkageIndexError(f"merge {k} joins cluster {a} with itself")
+    for side in (a, b):
+        if not (0 <= side < n + k):
+            return LinkageIndexError(
+                f"merge {k} references cluster {side}, valid range is 0..{n + k - 1}"
+            )
+        if used[side]:
+            return LinkageIndexError(f"cluster {side} is merged twice (second time in merge {k})")
+    return LinkageError(f"merge {k} claims size {merged}, children sum to {sizes[a] + sizes[b]}")
+
+
 def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     """Synthesize the binary dendrogram tree for a linkage table.
 
@@ -216,6 +232,12 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     labels: list[str] = []
     cluster_node: list[int] = []  # node id of cluster n + k
     hnum, hden = table.hnum, table.hden
+    # Under a plain scale D, every height is an int over D, and a cluster
+    # side's gap is the difference of two such ints, reduced by one gcd.
+    # Otherwise each gap is reduced over its own two denominators.
+    scale = plain_scale(hden)
+    if scale is not None:
+        factor = {d: scale // d for d in set(hden)}
     for k, (left, right, hn, hd) in enumerate(zip(table.left, table.right, hnum, hden)):
         u = len(labels)
         labels.append(f"c{n + k}")
@@ -225,15 +247,21 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
                 c = len(labels)
                 labels.append(str(side))
             else:
-                c = cluster_node[side - n]
-                cn, cd = hnum[side - n], hden[side - n]
-                if cd == hd:
-                    gn, gd = hn - cn, hd
+                j = side - n
+                c = cluster_node[j]
+                if scale is not None:
+                    gn = hn * factor[hd] - hnum[j] * factor[hden[j]]
+                    g = gcd(gn, scale)
+                    gn, gd = gn // g, scale // g
                 else:
-                    gn, gd = hn * cd - cn * hd, hd * cd
-                if gd != 1:
-                    g = gcd(gn, gd)
-                    gn, gd = gn // g, gd // g
+                    cn, cd = hnum[j], hden[j]
+                    if cd == hd:
+                        gn, gd = hn - cn, hd
+                    else:
+                        gn, gd = hn * cd - cn * hd, hd * cd
+                    if gd != 1:
+                        g = gcd(gn, gd)
+                        gn, gd = gn // g, gd // g
             if gn < 0:
                 raise NegativeGapError(
                     f"merge {k} at height {ratio_str(hn, hd)} is below "
@@ -259,13 +287,24 @@ def communities_from_cut(t: RootedTree, cut) -> Partition:
     Communities are ordered by their smallest member (numeric labels sort
     numerically) so output is deterministic.
     """
-    edges = set(cut)
-    if not is_valid_cut(t, edges):
+    found = _cut_owners(t, cut)
+    if found is None:
         raise InvalidCutError("not a root-separating boundary cut")
-    label_of = t.labels.__getitem__
-    members = [_sorted_labels(map(label_of, t.subtree_leaves(e))) for e in sorted(edges)]
-    members.sort(key=lambda group: _label_key(group[0]))
-    return Partition(tuple(map(frozenset, members)), tuple(members))
+    owner, leaf = found
+    # Every leaf label in label order goes to its owner's community: each
+    # community comes out sorted, and the communities in the order of their
+    # smallest members.
+    names = list(compress(t.labels, leaf))
+    owners = list(compress(owner, leaf))
+    del owner, leaf
+    keys = list(map(_label_order(names), names))
+    order = sorted(range(len(names)), key=keys.__getitem__)
+    del keys
+    groups: defaultdict[int, list[str]] = defaultdict(list)
+    for i in order:
+        groups[owners[i]].append(names[i])
+    members = tuple(map(tuple, groups.values()))
+    return Partition(tuple(map(frozenset, members)), members)
 
 
 def cluster(
@@ -285,40 +324,50 @@ def parse_linkage_csv(text: str) -> LinkageTable:
     Heights are parsed exactly as decimal text. The item count is implied:
     m merge rows describe m + 1 items.
     """
-    reader = csv.reader(io.StringIO(text))
     # Rows with no non-whitespace cell are skipped.
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if "".join(row).strip()]
-    if not rows:
+    rows = enumerate(csv.reader(io.StringIO(text)), start=1)
+    for header_line, header_row in rows:
+        if "".join(header_row).strip():
+            break
+    else:
         raise ParseError("empty linkage CSV")
-    header_line, header_row = rows[0]
     header = [cell.strip() for cell in header_row]
     if header != ["left", "right", "height", "size"]:
         raise ParseError(
             f"expected header left,right,height,size, got {','.join(header)}",
             line=header_line,
         )
-    merges = []
-    for lineno, row in rows[1:]:
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-        left_text, right_text, height_text, size_text = row
+    left, right, hnum, hden, size = columns = [], [], [], [], []
+    for lineno, row in rows:
         try:
+            left_text, right_text, height_text, size_text = row
+            a, b, merged = int(left_text), int(right_text), int(size_text)
+        except ValueError:
+            if not "".join(row).strip():
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno) from None
+            # int() skips surrounding whitespace except U+001C..U+001F,
+            # which str.strip removes too.
             try:
-                left, right, size = int(left_text), int(right_text), int(size_text)
-            except ValueError:
-                # int() skips surrounding whitespace except U+001C..U+001F,
-                # which str.strip removes too.
-                left, right, size = (
+                a, b, merged = (
                     int(left_text.strip()),
                     int(right_text.strip()),
                     int(size_text.strip()),
                 )
-        except ValueError:
-            raise ParseError("left, right, and size must be integers", line=lineno) from None
-        height_text = height_text.strip()
+            except ValueError:
+                raise ParseError("left, right, and size must be integers", line=lineno) from None
         try:
+            # The literal grammar allows surrounding whitespace; the message
+            # quotes the height without it.
             num, den = parse_rational_pair(height_text)
         except MalformedWeightError:
-            raise ParseError(f"not a decimal height: {echo(height_text)}", line=lineno) from None
-        merges.append((left, right, num, den, size))
-    return LinkageTable._from_rows(len(merges) + 1, merges)
+            raise ParseError(
+                f"not a decimal height: {echo(height_text.strip())}", line=lineno
+            ) from None
+        left.append(a)
+        right.append(b)
+        hnum.append(num)
+        hden.append(den)
+        size.append(merged)
+    return LinkageTable._from_columns(len(left) + 1, *columns)

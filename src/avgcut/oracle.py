@@ -32,6 +32,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator
 
 from .contraction import CutResult, Objective
@@ -195,36 +196,64 @@ def enumerate_cuts(
 
 def is_valid_cut(t: RootedTree, cut) -> bool:
     """True iff ``cut`` is the out-edge boundary of some internal subtree."""
+    return _cut_owners(t, cut) is not None
+
+
+def _cut_owners(t: RootedTree, cut) -> tuple[list[int], bytearray] | None:
+    """``(owner, leaf)`` when ``cut`` is a boundary cut, else None.
+
+    ``owner[v]`` is the cut edge on the path from ``v`` up to the root
+    (``v`` itself when it is one), or -1 for the nodes of the internal
+    subtree, which reach the root without crossing the cut; ``leaf[v]`` is 1
+    when no node has ``v`` as parent. Owners are filled by walking up
+    ``parent`` and keeping every answer, so ids may come in any order and no
+    ``children`` view is built. The cut is a boundary exactly when it is a
+    non-empty set of non-root int ids, every cut edge's tail is inside and
+    no leaf is.
+    """
     edges = set(cut)
+    n, root, parent = t.node_count, t.root, t.parent
     if not edges:
-        return False
+        return None
     for e in edges:
-        if not isinstance(e, int) or not (0 <= e < t.node_count) or e == t.root:
-            return False
-    reached = _reach(t, edges)
-    if any(not t.children[v] for v in reached):
-        return False  # a leaf ended up inside
-    return all(t.parent[e] in reached for e in edges)
-
-
-def _reach(t: RootedTree, cut: set[EdgeId]) -> set[NodeId]:
-    """Nodes reachable from the root without crossing a cut edge."""
-    reached = {t.root}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        for c in t.children[v]:
-            if c not in cut:
-                reached.add(c)
-                stack.append(c)
-    return reached
+        if not isinstance(e, int) or not (0 <= e < n) or e == root:
+            return None
+    owner: list = [None] * n
+    owner[root] = -1
+    for e in edges:
+        owner[e] = e
+    for v in range(n):
+        if owner[v] is None:
+            u = parent[v]
+            o = owner[u]
+            if o is None:  # walk up to the first node with an owner
+                path = [v]
+                while (o := owner[u]) is None:
+                    path.append(u)
+                    u = parent[u]
+                for u in path:
+                    owner[u] = o
+            else:
+                owner[v] = o
+    leaf = bytearray(b"\1") * n
+    for p in parent:
+        if p is not None:
+            leaf[p] = 0
+    if -1 in compress(owner, leaf):
+        return None  # a leaf is inside
+    for e in edges:
+        if owner[parent[e]] != -1:
+            return None  # the cut edge's tail is outside
+    return owner, leaf
 
 
 def internal_subtree(t: RootedTree, cut) -> InternalSubtree:
     """The internal subtree whose boundary is ``cut``."""
-    if not is_valid_cut(t, cut):
+    found = _cut_owners(t, cut)
+    if found is None:
         raise InvalidCutError("not a root-separating boundary cut")
-    return InternalSubtree(frozenset(_reach(t, set(cut))))
+    owner = found[0]
+    return InternalSubtree(frozenset(v for v in range(t.node_count) if owner[v] == -1))
 
 
 def brute_force_optimum(

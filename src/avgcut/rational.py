@@ -29,6 +29,10 @@ MAX_EXPONENT = 100_000
 # Error messages quote at most this many characters of an offending literal.
 ECHO_LIMIT = 64
 
+# Weights whose denominators have an lcm of at most this are scaled to ints
+# over that one lcm (see plain_scale).
+PLAIN_SCALE = 2**32
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal of either sign.
@@ -138,6 +142,17 @@ def parse_weight_pair(text: str) -> tuple[int, int]:
     if num < 0:
         raise NegativeWeightError(f"negative weight: {echo(text)}")
     return num, den
+
+
+def plain_scale(dens) -> int | None:
+    """The lcm of the denominators ``dens`` when it is at most
+    ``PLAIN_SCALE``, else None; it stops at the first partial lcm past it."""
+    scale = 1
+    for q in set(dens):
+        scale = math.lcm(scale, q)
+        if scale > PLAIN_SCALE:
+            return None
+    return scale
 
 
 def exact_str(value: Fraction | int) -> str:

@@ -23,8 +23,10 @@ from avgcut import (
     internal_subtree,
     is_valid_cut,
 )
+from avgcut.dendro import Partition, _label_key, _sorted_labels
 from avgcut.errors import (
     AvgCutError,
+    InvalidCutError,
     MissingBranchLengthError,
     NotATreeError,
     TreeError,
@@ -310,6 +312,46 @@ def cut_edges_by_walk(state: ContractionState) -> frozenset[int]:
 
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
     return frozenset(t.node_id(lb) for lb in labels)
+
+
+def reach_by_children(t: RootedTree, cut: set[int]) -> set[int]:
+    """Nodes reachable from the root down the children without crossing a
+    cut edge."""
+    reached = {t.root}
+    stack = [t.root]
+    while stack:
+        for c in t.children[stack.pop()]:
+            if c not in cut:
+                reached.add(c)
+                stack.append(c)
+    return reached
+
+
+def is_valid_cut_by_children(t: RootedTree, cut) -> bool:
+    """``is_valid_cut`` by a walk down the children from the root."""
+    edges = set(cut)
+    if not edges:
+        return False
+    for e in edges:
+        if not isinstance(e, int) or not (0 <= e < t.node_count) or e == t.root:
+            return False
+    reached = reach_by_children(t, edges)
+    if any(not t.children[v] for v in reached):
+        return False  # a leaf ended up inside
+    return all(t.parent[e] in reached for e in edges)
+
+
+def communities_by_children(t: RootedTree, cut) -> Partition:
+    """``communities_from_cut`` from each cut edge's ``subtree_leaves``,
+    each community sorted on its own and the communities by their first
+    members."""
+    edges = set(cut)
+    if not is_valid_cut_by_children(t, edges):
+        raise InvalidCutError("not a root-separating boundary cut")
+    label_of = t.labels.__getitem__
+    members = [_sorted_labels(map(label_of, t.subtree_leaves(e))) for e in sorted(edges)]
+    members.sort(key=lambda group: _label_key(group[0]))
+    return Partition(tuple(map(frozenset, members)), tuple(members))
 
 
 class _ReferencePrep:

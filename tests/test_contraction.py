@@ -762,7 +762,7 @@ class _CountingContractibility(Contractibility):
 
 class TestPlainKeys:
     """On plain runs (the lcm of the weight denominators at most
-    ``_PLAIN_SCALE``) finite heap entries are ``(int, 0, edge,
+    ``rational.PLAIN_SCALE``) finite heap entries are ``(int, 0, edge,
     generation)``; all other runs break equal floats with the exact
     ``Contractibility``."""
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -15,16 +16,20 @@ from avgcut import (
     LinkageTable,
     Merge,
     Objective,
+    RootedTree,
     brute_force_optimum,
     cluster,
     communities_from_cut,
     enumerate_cuts,
     from_edges,
+    internal_subtree,
+    is_valid_cut,
     linkage_to_tree,
     optimal_average_cut,
     parse_edgelist,
     parse_linkage_csv,
 )
+from avgcut import dendro
 from avgcut.dendro import Partition, _label_key, _label_order
 from avgcut.errors import (
     InvalidCutError,
@@ -35,8 +40,16 @@ from avgcut.errors import (
     ParseError,
     ZeroWeightWarning,
 )
+from avgcut.rational import plain_scale
 
-from .helpers import edge_set_by_children, figure_max_cut_children
+from .helpers import (
+    communities_by_children,
+    edge_set_by_children,
+    figure_max_cut_children,
+    is_valid_cut_by_children,
+    random_linkage_csv,
+    reach_by_children,
+)
 
 
 def make_table(rows, n_items=None):
@@ -101,6 +114,41 @@ class TestLinkageTable:
     def test_size_mismatch_rejected(self):
         with pytest.raises(LinkageError):
             make_table([(0, 1, 1, 3), (3, 2, 2, 4)])
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([(0, 0, 1, 2), (3, 1, 2, 3)], LinkageIndexError, "merge 0 joins cluster 0 with itself"),
+            (
+                [(0, 3, 1, 2), (1, 2, 2, 2)],
+                LinkageIndexError,
+                "merge 0 references cluster 3, valid range is 0..2",
+            ),
+            (
+                [(0, 1, 1, 2), (2, 1, 2, 2)],
+                LinkageIndexError,
+                "cluster 1 is merged twice (second time in merge 1)",
+            ),
+            # The left side is checked in full before the right side.
+            (
+                [(0, 1, 1, 2), (5, 1, 2, 2)],
+                LinkageIndexError,
+                "merge 1 references cluster 5, valid range is 0..3",
+            ),
+            (
+                [(0, 1, 1, 2), (1, 7, 2, 2)],
+                LinkageIndexError,
+                "cluster 1 is merged twice (second time in merge 1)",
+            ),
+            ([(0, 1, 1, 3), (3, 2, 2, 4)], LinkageError, "merge 0 claims size 3, children sum to 2"),
+        ],
+        ids=["self", "range", "right-reused", "left-range-first", "left-reused-first", "size"],
+    )
+    def test_structural_error_messages(self, rows, error, message):
+        with pytest.raises(error) as exc:
+            make_table(rows)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
 
 class TestLinkageToTree:
@@ -237,6 +285,80 @@ class TestDirectBuild:
             assert str(exc.value) == message
 
 
+# Two primes whose product is past the plain scale 2**32.
+_P, _Q = 65537, 65539
+
+
+class TestScalePaths:
+    """Under a plain scale (the lcm of the height denominators at most
+    2**32), linkage_to_tree takes each cluster side's gap as an int
+    difference over that one scale; otherwise it reduces each gap over its
+    own two denominators. Both must build the from_edges reference."""
+
+    @staticmethod
+    def _tables():
+        """One 300-item dendrogram with heights in hundredths, and the same
+        merges with heights moved up by ``(k + 1) / P`` or ``(k + 1) / Q``
+        (alternating): less than a hundredth, and growing with ``k``, so
+        every gap stays non-negative."""
+        cents = parse_linkage_csv(random_linkage_csv(random.Random(11), 300))
+        primes = LinkageTable(
+            n_items=cents.n_items,
+            merges=[
+                m._replace(height=m.height + Fraction(k + 1, (_P, _Q)[k % 2]))
+                for k, m in enumerate(cents.merges)
+            ],
+        )
+        return cents, primes
+
+    def test_both_scales_build_the_from_edges_tree(self):
+        cents, primes = self._tables()
+        assert plain_scale(cents.hden) == 100
+        assert plain_scale(primes.hden) is None
+        for table in (cents, primes):
+            for scheme in ("gap", "height"):
+                assert linkage_to_tree(table, scheme) == reference_tree(table, scheme)
+
+    def test_per_pair_path_builds_the_same_tree(self, monkeypatch):
+        cents, _ = self._tables()
+        plain = {scheme: linkage_to_tree(cents, scheme) for scheme in ("gap", "height")}
+        monkeypatch.setattr(dendro, "plain_scale", lambda dens: None)
+        for scheme, tree in plain.items():
+            assert linkage_to_tree(cents, scheme) == tree
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                [(0, 1, Fraction(501, 100), 2), (3, 2, Fraction(1, 100), 3)],
+                "merge 1 at height 1/100 is below cluster 3 at height 501/100",
+            ),
+            (
+                [(0, 1, Fraction(-1, 100), 2), (3, 2, 1, 3)],
+                "merge 0 at height -1/100 is below cluster 0 at height 0",
+            ),
+            (
+                [(0, 1, Fraction(5, _P), 2), (3, 2, Fraction(1, _Q), 3)],
+                f"merge 1 at height 1/{_Q} is below cluster 3 at height 5/{_P}",
+            ),
+            (
+                [(0, 1, Fraction(-1, _P), 2), (3, 2, Fraction(1, _Q), 3)],
+                f"merge 0 at height -1/{_P} is below cluster 0 at height 0",
+            ),
+        ],
+        ids=["cents-cluster", "cents-item", "primes-cluster", "primes-item"],
+    )
+    def test_negative_gap_message_on_both_paths(self, monkeypatch, rows, message):
+        table = make_table(rows)
+        for forced in (False, True):
+            if forced:
+                monkeypatch.setattr(dendro, "plain_scale", lambda dens: None)
+            for scheme in ("gap", "height"):
+                with pytest.raises(NegativeGapError) as exc:
+                    linkage_to_tree(table, scheme)
+                assert str(exc.value) == message
+
+
 def height_text(value: Fraction, form: str) -> str:
     """A non-negative height as ``p/q`` text, or in ``decimal`` or
     ``exponent`` form when its denominator divides a power of ten."""
@@ -369,6 +491,114 @@ class TestCommunities:
             assert out == "('0001', '001', '01', '1')\n"
 
 
+@st.composite
+def trees_and_cuts(draw):
+    """A tree and an edge set to cut it with. The tree is a random one whose
+    edge lines come bottom-up, so its ids are not top-down, with labels such
+    as ``n3``, ``3`` and ``03``; or a linkage tree. The edge set is the
+    boundary of a random internal subtree, or that boundary mutated."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        n = rng.randint(2, 30)
+        labels = [rng.choice((f"n{i}", str(i), f"0{i}")) for i in range(n)]
+        lines = [f"{labels[rng.randrange(i)]} {labels[i]} 1\n" for i in range(1, n)]
+        t = parse_edgelist("".join(reversed(lines)))
+    else:
+        t = linkage_to_tree(parse_linkage_csv(random_linkage_csv(rng, rng.randint(2, 40))))
+    cut = set()
+    stack = [t.root]
+    while stack:
+        for c in t.children[stack.pop()]:
+            if t.children[c] and rng.random() < 0.6:
+                stack.append(c)
+            else:
+                cut.add(c)
+    mutation = draw(st.sampled_from(["none", "add", "drop", "up", "down", "foreign"]))
+    e = rng.choice(sorted(cut))
+    if mutation == "add":
+        cut.add(rng.randrange(t.node_count))
+    elif mutation == "drop":
+        cut.discard(e)
+    elif mutation == "up":
+        cut.discard(e)
+        cut.add(t.parent[e])
+    elif mutation == "down":
+        cut.discard(e)
+        cut.update(t.children[e] or [e])
+    elif mutation == "foreign":
+        cut.add(rng.choice((-1, t.node_count, "0", 0.5, None)))
+    return t, cut, mutation
+
+
+class TestOwnerPass:
+    """communities_from_cut and is_valid_cut find each node's cut edge by
+    one walk up ``parent``; the children walk they replaced is the
+    reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees_and_cuts())
+    def test_matches_the_children_walk(self, case):
+        t, cut, mutation = case
+        valid = is_valid_cut_by_children(t, cut)
+        assert valid or mutation not in ("none", "down")
+        assert is_valid_cut(t, cut) == valid
+        if valid:
+            got, want = communities_from_cut(t, cut), communities_by_children(t, cut)
+            assert got.communities == want.communities
+            assert got.ordered() == want.ordered()
+            assert internal_subtree(t, cut).nodes == reach_by_children(t, cut)
+        else:
+            with pytest.raises(InvalidCutError):
+                communities_from_cut(t, cut)
+            with pytest.raises(InvalidCutError):
+                internal_subtree(t, cut)
+
+    @pytest.mark.parametrize(
+        "labels, extra",
+        [
+            ([], None),
+            (["r", "a", "d"], None),
+            (["a", "d"], 5),
+            (["a", "d"], -1),
+            (["a", "d"], "1"),
+            (["a", "d"], 1.5),
+            (["a", "b", "d"], None),
+            (["a"], None),
+        ],
+        ids=["empty", "root", "past-the-ids", "negative", "text", "float",
+             "below-a-cut-edge", "leaf-inside"],
+    )
+    def test_each_invalid_kind_raises(self, labels, extra):
+        # r -> a -> {b, c} and r -> d: {a, d} and {b, c, d} are the cuts.
+        t = parse_edgelist("r a 1\na b 1\na c 1\nr d 1\n")
+        cut = {t.node_id(label) for label in labels}
+        if extra is not None:
+            cut.add(extra)
+        assert not is_valid_cut(t, cut)
+        with pytest.raises(InvalidCutError):
+            communities_from_cut(t, cut)
+        with pytest.raises(InvalidCutError):
+            internal_subtree(t, cut)
+
+    def test_cluster_builds_no_children_view(self, monkeypatch):
+        trees = []
+
+        def kept(table, scheme="gap"):
+            trees.append(linkage_to_tree(table, scheme))
+            return trees[-1]
+
+        def refused(self, e):
+            raise AssertionError("subtree_leaves called")
+
+        monkeypatch.setattr(dendro, "linkage_to_tree", kept)
+        monkeypatch.setattr(RootedTree, "subtree_leaves", refused)
+        table = parse_linkage_csv(random_linkage_csv(random.Random(7), 200))
+        part, result = cluster(table)
+        assert len(part) == result.size
+        (tree,) = trees
+        assert "children" not in vars(tree)
+
+
 class TestCluster:
     def test_single_merge(self):
         part, result = cluster(make_table([(0, 1, 4, 2)]))
@@ -442,6 +672,13 @@ class TestLinkageCsv:
     def test_malformed_height_line_numbered(self, height):
         with pytest.raises(ParseError) as exc:
             parse_linkage_csv(f"left,right,height,size\n0,1,1,2\n3,2,{height},3\n")
+        assert exc.value.line == 3
+
+    def test_row_errors_come_before_structural_errors(self):
+        # Merge 0 joins cluster 0 with itself, but line 3's height is
+        # reported first: the table is checked only once every row is read.
+        with pytest.raises(ParseError) as exc:
+            parse_linkage_csv("left,right,height,size\n0,0,1,2\n1,2,abc,3\n")
         assert exc.value.line == 3
 
     def test_negative_height_rejected_late(self):

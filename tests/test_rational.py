@@ -25,10 +25,12 @@ from avgcut.errors import AvgCutError, MalformedWeightError, NegativeWeightError
 from avgcut.io import edge_rows
 from avgcut.rational import (
     MAX_EXPONENT,
+    PLAIN_SCALE,
     exact_str,
     parse_rational,
     parse_rational_pair,
     parse_weight_pair,
+    plain_scale,
     ratio_str,
 )
 
@@ -280,6 +282,26 @@ class TestReadBack:
 
         table = parse_linkage_csv(csv(heights))
         assert parse_linkage_csv(csv(map(ratio_str, table.hnum, table.hden))) == table
+
+
+class TestPlainScale:
+    @pytest.mark.parametrize(
+        "dens, scale",
+        [
+            ([], 1),
+            ([1, 1], 1),
+            ([2, 3, 4, 6], 12),
+            ([100, 4, 25], 100),
+            ([PLAIN_SCALE], PLAIN_SCALE),
+            ([65536, 65535], 65536 * 65535),
+            # 65537 * 65539 and 2**32 + 15 are past the bound.
+            ([65537, 65539], None),
+            ([4294967311], None),
+            ([2, 4294967311, 3], None),
+        ],
+    )
+    def test_lcm_up_to_the_bound(self, dens, scale):
+        assert plain_scale(dens) == scale
 
 
 class TestExactStr:
