@@ -43,7 +43,6 @@ from .rational import (
     exact_str,
     parse_rational,
     parse_rational_pair,
-    plain_scale,
     ratio_str,
 )
 from .tree import RootedTree
@@ -175,23 +174,26 @@ def _label_key(label: str):
     return (0, _label_int(label), label) if label.isdecimal() else (1, 0, label)
 
 
-def _label_order(labels):
-    """A sort key that orders ``labels`` as :func:`_label_key` does: ``int``
+def _label_keys(labels: list[str]) -> list:
+    """Sort keys that order ``labels`` as :func:`_label_key` does: the ints
     when every label is decimal and no two are equal as ints, as linkage
     items are."""
     if all(map(str.isdecimal, labels)):
         try:
-            if len(set(map(int, labels))) == len(labels):
-                return int
+            keys = list(map(int, labels))
         except ValueError:  # past int()'s digit limit
             pass
-    return _label_key
+        else:
+            if len(set(keys)) == len(keys):
+                return keys
+    return list(map(_label_key, labels))
 
 
 def _sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     """``labels`` in :func:`_label_key` order."""
     labels = list(labels)
-    return tuple(sorted(labels, key=_label_order(labels)))
+    keys = _label_keys(labels)
+    return tuple(labels[i] for i in sorted(range(len(labels)), key=keys.__getitem__))
 
 
 def _merge_error(k: int, n: int, a, b, merged, used: bytearray, sizes) -> LinkageError:
@@ -232,12 +234,6 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
     labels: list[str] = []
     cluster_node: list[int] = []  # node id of cluster n + k
     hnum, hden = table.hnum, table.hden
-    # Under a plain scale D, every height is an int over D, and a cluster
-    # side's gap is the difference of two such ints, reduced by one gcd.
-    # Otherwise each gap is reduced over its own two denominators.
-    scale = plain_scale(hden)
-    if scale is not None:
-        factor = {d: scale // d for d in set(hden)}
     for k, (left, right, hn, hd) in enumerate(zip(table.left, table.right, hnum, hden)):
         u = len(labels)
         labels.append(f"c{n + k}")
@@ -247,21 +243,15 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
                 c = len(labels)
                 labels.append(str(side))
             else:
-                j = side - n
-                c = cluster_node[j]
-                if scale is not None:
-                    gn = hn * factor[hd] - hnum[j] * factor[hden[j]]
-                    g = gcd(gn, scale)
-                    gn, gd = gn // g, scale // g
+                c = cluster_node[side - n]
+                cn, cd = hnum[side - n], hden[side - n]
+                if cd == hd:
+                    gn, gd = hn - cn, hd
                 else:
-                    cn, cd = hnum[j], hden[j]
-                    if cd == hd:
-                        gn, gd = hn - cn, hd
-                    else:
-                        gn, gd = hn * cd - cn * hd, hd * cd
-                    if gd != 1:
-                        g = gcd(gn, gd)
-                        gn, gd = gn // g, gd // g
+                    gn, gd = hn * cd - cn * hd, hd * cd
+                if gd != 1:
+                    g = gcd(gn, gd)
+                    gn, gd = gn // g, gd // g
             if gn < 0:
                 raise NegativeGapError(
                     f"merge {k} at height {ratio_str(hn, hd)} is below "
@@ -297,7 +287,7 @@ def communities_from_cut(t: RootedTree, cut) -> Partition:
     names = list(compress(t.labels, leaf))
     owners = list(compress(owner, leaf))
     del owner, leaf
-    keys = list(map(_label_order(names), names))
+    keys = _label_keys(names)
     order = sorted(range(len(names)), key=keys.__getitem__)
     del keys
     groups: defaultdict[int, list[str]] = defaultdict(list)

@@ -30,7 +30,7 @@ from avgcut import (
     parse_linkage_csv,
 )
 from avgcut import dendro
-from avgcut.dendro import Partition, _label_key, _label_order
+from avgcut.dendro import Partition, _label_key, _label_keys
 from avgcut.errors import (
     InvalidCutError,
     LinkageError,
@@ -40,7 +40,6 @@ from avgcut.errors import (
     ParseError,
     ZeroWeightWarning,
 )
-from avgcut.rational import plain_scale
 
 from .helpers import (
     communities_by_children,
@@ -240,6 +239,10 @@ def reference_tree(table, scheme):
         return from_edges(triples)
 
 
+# Two primes whose product is past 2**32.
+_P, _Q = 65537, 65539
+
+
 class TestDirectBuild:
     """linkage_to_tree builds the tree itself; from_edges is the reference."""
 
@@ -276,6 +279,14 @@ class TestDirectBuild:
                 [(0, 1, Fraction(1, 2), 2), (2, 3, Fraction(1, 3), 3)],
                 "merge 1 at height 1/3 is below cluster 3 at height 1/2",
             ),
+            (
+                [(0, 1, Fraction(501, 100), 2), (3, 2, Fraction(1, 100), 3)],
+                "merge 1 at height 1/100 is below cluster 3 at height 501/100",
+            ),
+            (
+                [(0, 1, Fraction(5, _P), 2), (3, 2, Fraction(1, _Q), 3)],
+                f"merge 1 at height 1/{_Q} is below cluster 3 at height 5/{_P}",
+            ),
         ],
     )
     def test_negative_gap_message(self, rows, message):
@@ -284,23 +295,11 @@ class TestDirectBuild:
                 linkage_to_tree(make_table(rows), scheme)
             assert str(exc.value) == message
 
-
-# Two primes whose product is past the plain scale 2**32.
-_P, _Q = 65537, 65539
-
-
-class TestScalePaths:
-    """Under a plain scale (the lcm of the height denominators at most
-    2**32), linkage_to_tree takes each cluster side's gap as an int
-    difference over that one scale; otherwise it reduces each gap over its
-    own two denominators. Both must build the from_edges reference."""
-
-    @staticmethod
-    def _tables():
-        """One 300-item dendrogram with heights in hundredths, and the same
-        merges with heights moved up by ``(k + 1) / P`` or ``(k + 1) / Q``
-        (alternating): less than a hundredth, and growing with ``k``, so
-        every gap stays non-negative."""
+    def test_hundredths_and_large_prime_heights_match_from_edges(self):
+        # One 300-item dendrogram with heights in hundredths, and the same
+        # merges with heights moved up by (k + 1) / P or (k + 1) / Q
+        # (alternating): less than a hundredth and growing with k, so every
+        # gap stays non-negative, and the denominators' lcm is past 2**32.
         cents = parse_linkage_csv(random_linkage_csv(random.Random(11), 300))
         primes = LinkageTable(
             n_items=cents.n_items,
@@ -309,54 +308,9 @@ class TestScalePaths:
                 for k, m in enumerate(cents.merges)
             ],
         )
-        return cents, primes
-
-    def test_both_scales_build_the_from_edges_tree(self):
-        cents, primes = self._tables()
-        assert plain_scale(cents.hden) == 100
-        assert plain_scale(primes.hden) is None
         for table in (cents, primes):
             for scheme in ("gap", "height"):
                 assert linkage_to_tree(table, scheme) == reference_tree(table, scheme)
-
-    def test_per_pair_path_builds_the_same_tree(self, monkeypatch):
-        cents, _ = self._tables()
-        plain = {scheme: linkage_to_tree(cents, scheme) for scheme in ("gap", "height")}
-        monkeypatch.setattr(dendro, "plain_scale", lambda dens: None)
-        for scheme, tree in plain.items():
-            assert linkage_to_tree(cents, scheme) == tree
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            (
-                [(0, 1, Fraction(501, 100), 2), (3, 2, Fraction(1, 100), 3)],
-                "merge 1 at height 1/100 is below cluster 3 at height 501/100",
-            ),
-            (
-                [(0, 1, Fraction(-1, 100), 2), (3, 2, 1, 3)],
-                "merge 0 at height -1/100 is below cluster 0 at height 0",
-            ),
-            (
-                [(0, 1, Fraction(5, _P), 2), (3, 2, Fraction(1, _Q), 3)],
-                f"merge 1 at height 1/{_Q} is below cluster 3 at height 5/{_P}",
-            ),
-            (
-                [(0, 1, Fraction(-1, _P), 2), (3, 2, Fraction(1, _Q), 3)],
-                f"merge 0 at height -1/{_P} is below cluster 0 at height 0",
-            ),
-        ],
-        ids=["cents-cluster", "cents-item", "primes-cluster", "primes-item"],
-    )
-    def test_negative_gap_message_on_both_paths(self, monkeypatch, rows, message):
-        table = make_table(rows)
-        for forced in (False, True):
-            if forced:
-                monkeypatch.setattr(dendro, "plain_scale", lambda dens: None)
-            for scheme in ("gap", "height"):
-                with pytest.raises(NegativeGapError) as exc:
-                    linkage_to_tree(table, scheme)
-                assert str(exc.value) == message
 
 
 def height_text(value: Fraction, form: str) -> str:
@@ -471,7 +425,9 @@ class TestCommunities:
         part = Partition(tuple(groups))
         assert part.ordered() == tuple(tuple(sorted(g, key=_label_key)) for g in groups)
         for g in groups:
-            assert _label_key(min(g, key=_label_order(g))) == min(map(_label_key, g))
+            labels = list(g)
+            keys = _label_keys(labels)
+            assert _label_key(labels[keys.index(min(keys))]) == min(map(_label_key, g))
 
     def test_member_order_of_int_ties_ignores_the_hash_seed(self):
         # "1", "01", "001" and "0001" are equal as ints. Their order must come
