@@ -33,7 +33,6 @@ from .oracle import (
     brute_force_optimum,
     count_cuts,
     enumerate_cuts,
-    internal_subtree,
     is_valid_cut,
 )
 from .rational import parse_weight
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_cut",
     "format_edgelist",
     "from_edges",
-    "internal_subtree",
     "is_valid_cut",
     "linkage_to_tree",
     "optimal_average_cut",

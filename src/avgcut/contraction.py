@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import DeadEdgeError, EmptyCutError, LeafHeadError
 from .rational import exact_str, parse_rational, plain_scale
-from .tree import EdgeId, NodeId, RootedTree
+from .tree import EdgeId, RootedTree
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -232,7 +232,7 @@ class ContractionState:
         if plain and scale != 1:
             wn = tree.scaled_weights[1]
             wd = (scale,) * n
-        self._wn, self._wd = wn, wd
+        self._wd = wd
 
         # Each supernode's union-find root is its topmost node; path halving
         # rewrites only entries that do not point to themselves, so a node is
@@ -292,7 +292,6 @@ class ContractionState:
         # is -num_e / lam_den and the root average after it -alpha_num /
         # alpha_den; lam_den == 0 encodes the infinities.
         self._steps: list[tuple[int, int, int, int, int, bool]] = []
-        self._initial_alpha = (nums[root], dens[root] * cnts[root])
 
     # --- union-find ---------------------------------------------------- #
 
@@ -309,33 +308,10 @@ class ContractionState:
         if not isinstance(e, int) or not (0 <= e < self.tree.node_count) or e == self.tree.root:
             raise ValueError(f"not an edge id: {e!r}")
 
-    def representative(self, v: NodeId) -> NodeId:
-        """The topmost original node of ``v``'s supernode, which names it."""
-        return self._find(v)
-
-    def is_alive(self, e: EdgeId) -> bool:
-        self._check_edge(e)
-        return self._uf[e] == e
-
-    def live_out_sum(self, v: NodeId) -> Fraction:
-        """Total weight of live out-edges of ``v``'s supernode."""
-        r = self._find(v)
-        d, q = self._den[r], self._wd[r]
-        return Fraction(self._wn[r] * (d // q) - self._num[r], d)
-
-    def live_out_count(self, v: NodeId) -> int:
-        """Number of live out-edges of ``v``'s supernode."""
-        return self._cnt[self._find(v)]
-
     @property
     def root_average(self) -> Fraction:
         root = self.tree.root
         return Fraction(-self._num[root], self._den[root] * self._cnt[root])
-
-    @property
-    def initial_root_average(self) -> Fraction:
-        num, den = self._initial_alpha
-        return Fraction(-num, den)
 
     def contractibility(self, e: EdgeId) -> Contractibility:
         """Contractibility of live edge ``e`` under the current partition."""
@@ -345,14 +321,6 @@ class ContractionState:
         if self._cnt[e] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
         return _contractibility(-self._num[e], self._den[e] * (self._cnt[e] - 1), self._maximize)
-
-    def pending_edges(self) -> set[EdgeId]:
-        """Edges with a fresh queue entry (live internal edges, exactly)."""
-        return {
-            entry[2]
-            for entry in self._heap
-            if self._uf[entry[2]] == entry[2] and entry[3] == self._gen[entry[2]]
-        }
 
     def cut_edges(self) -> frozenset[EdgeId]:
         """Live out-edge boundary of the root supernode, as original edges.
@@ -381,12 +349,6 @@ class ContractionState:
             )
             for edge, num_e, lam_den, alpha_num, alpha_den, merged in self._steps
         ]
-
-    def root_average_history(self) -> list[Fraction]:
-        """Root average before any contraction and after each one."""
-        history = [self.initial_root_average]
-        history.extend(Fraction(-s[3], s[4]) for s in self._steps)
-        return history
 
     # --- mutation ----------------------------------------------------------- #
 

@@ -18,7 +18,6 @@ the ``cluster`` pipeline never builds.
 from __future__ import annotations
 
 import csv
-import decimal
 import io
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -39,15 +38,13 @@ from .errors import (
 )
 from .oracle import _cut_owners
 from .rational import (
+    digits_int,
     echo,
-    exact_str,
     parse_rational,
     parse_rational_pair,
     ratio_str,
 )
 from .tree import RootedTree
-
-_ZERO = Fraction(0)  # the height of every item
 
 
 class Merge(NamedTuple):
@@ -128,12 +125,6 @@ class LinkageTable:
         heights = map(Fraction, self.hnum, self.hden)
         return tuple(map(Merge, self.left, self.right, heights, self.size))
 
-    def cluster_height(self, index: int) -> Fraction:
-        if index < self.n_items:
-            return _ZERO
-        k = index - self.n_items
-        return Fraction(self.hnum[k], self.hden[k])
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -159,19 +150,10 @@ class Partition:
         return tuple(map(_sorted_labels, self.communities))
 
 
-def _label_int(label: str) -> int:
-    """The value of a decimal label of any length: ``int()`` refuses more
-    than ``sys.get_int_max_str_digits()`` digits, ``decimal`` does not."""
-    try:
-        return int(label)
-    except ValueError:
-        return int(decimal.Decimal(label))
-
-
 def _label_key(label: str):
     # Numeric labels sort numerically, ties such as "1" and "01" by text, and
     # everything else lexically after them.
-    return (0, _label_int(label), label) if label.isdecimal() else (1, 0, label)
+    return (0, digits_int(label), label) if label.isdecimal() else (1, 0, label)
 
 
 def _label_keys(labels: list[str]) -> list:
@@ -255,7 +237,7 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
             if gn < 0:
                 raise NegativeGapError(
                     f"merge {k} at height {ratio_str(hn, hd)} is below "
-                    f"cluster {side} at height {exact_str(table.cluster_height(side))}"
+                    f"cluster {side} at height {ratio_str(cn, cd) if side >= n else 0}"
                 )
             parent[c] = u
             wnum[c], wden[c] = (gn, gd) if gap_weights else (hn, hd)
@@ -267,7 +249,6 @@ def linkage_to_tree(table: LinkageTable, scheme: str = "gap") -> RootedTree:
         wnum=tuple(wnum),
         wden=tuple(wden),
         labels=tuple(labels),
-        label_index=dict(zip(labels, range(node_count))),
     )
 
 

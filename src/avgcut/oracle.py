@@ -36,7 +36,7 @@ from itertools import compress
 from typing import Iterator
 
 from .contraction import CutResult, Objective
-from .errors import InvalidCutError, TooManyCutsError
+from .errors import TooManyCutsError
 from .rational import exact_str
 from .tree import EdgeId, NodeId, RootedTree
 
@@ -245,15 +245,6 @@ def _cut_owners(t: RootedTree, cut) -> tuple[list[int], bytearray] | None:
         if owner[parent[e]] != -1:
             return None  # the cut edge's tail is outside
     return owner, leaf
-
-
-def internal_subtree(t: RootedTree, cut) -> InternalSubtree:
-    """The internal subtree whose boundary is ``cut``."""
-    found = _cut_owners(t, cut)
-    if found is None:
-        raise InvalidCutError("not a root-separating boundary cut")
-    owner = found[0]
-    return InternalSubtree(frozenset(v for v in range(t.node_count) if owner[v] == -1))
 
 
 def brute_force_optimum(

@@ -98,16 +98,23 @@ def parse_digits(digits: str) -> int:
             raise MalformedWeightError(
                 f"more than {MAX_EXPONENT} digits in literal: {echo(digits)}"
             ) from None
+    value = digits_int(digits[digits[:1] in ("+", "-"):])
+    return -value if digits[:1] == "-" else value
+
+
+def digits_int(digits: str) -> int:
+    """``int(digits)`` for an unsigned run of decimal digits of any length,
+    without raising the interpreter-wide limit: runs past it convert by
+    halving, subquadratic where ``int(decimal.Decimal(digits))`` is
+    quadratic."""
     # 0 is no limit; builds without the limit lack the function.
     leaf = getattr(sys, "get_int_max_str_digits", int)() or len(digits)
-    value = _join_digits(digits[digits[:1] in ("+", "-"):], leaf)
-    return -value if digits[:1] == "-" else value
+    return _join_digits(digits, leaf)
 
 
 def _join_digits(digits: str, leaf: int) -> int:
     """``int(digits)`` as ``hi * 10**len(lo) + lo`` over halves, with ``int()``
-    only on runs of at most ``leaf`` digits: subquadratic, where a single
-    ``int(decimal.Decimal(digits))`` is quadratic."""
+    only on runs of at most ``leaf`` digits."""
     if len(digits) <= leaf:
         return int(digits)
     low = len(digits) // 2

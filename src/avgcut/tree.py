@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -51,7 +51,6 @@ class RootedTree:
     wnum: tuple[int, ...]
     wden: tuple[int, ...]
     labels: tuple[str, ...]
-    label_index: dict[str, NodeId] = field(repr=False, compare=False, default_factory=dict)
 
     @cached_property
     def children(self) -> tuple[tuple[NodeId, ...], ...]:
@@ -68,6 +67,12 @@ class RootedTree:
         """Per-edge weight as a Fraction, indexed by head id; the root slot
         is 0. Built from ``wnum``/``wden`` on first use and kept."""
         return tuple(map(Fraction, self.wnum, self.wden))
+
+    @cached_property
+    def label_index(self) -> dict[str, NodeId]:
+        """Each label's node id. Built from ``labels`` on first use and
+        kept."""
+        return dict(zip(self.labels, range(self.node_count)))
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -179,7 +184,6 @@ def _assemble(ids: dict[str, NodeId], parent: list, wnum: list, wden: list) -> R
         wnum=tuple(wnum),
         wden=tuple(wden),
         labels=labels,
-        label_index=ids,
     )
 
     # Ids in top-down order (the root is 0 and every parent id is below its

@@ -20,7 +20,6 @@ from avgcut import (
     brute_force_optimum,
     evaluate_cut,
     from_edges,
-    internal_subtree,
     is_valid_cut,
 )
 from avgcut.dendro import Partition, _label_key, _sorted_labels
@@ -219,7 +218,6 @@ def assemble_reference(ids: dict, parent: list, wnum: list, wden: list) -> Roote
         wnum=tuple(wnum),
         wden=tuple(wden),
         labels=labels,
-        label_index=ids,
     )
 
 
@@ -302,12 +300,55 @@ def cut_edges_by_walk(state: ContractionState) -> frozenset[int]:
     """``state.cut_edges()`` by a walk down the tree's children from the root
     through contracted edges: every live edge it meets is a cut edge."""
     t = state.tree
+    contracted = set(state.contractions)
     cut = []
     stack = [t.root]
     while stack:
         for c in t.children[stack.pop()]:
-            (cut if state.is_alive(c) else stack).append(c)
+            (stack if c in contracted else cut).append(c)
     return frozenset(cut)
+
+
+def supernode_tops(state: ContractionState) -> list[int]:
+    """Each node's supernode, named by its topmost node: found by walking up
+    ``parent`` while the node's in-edge is in ``state.contractions``."""
+    t = state.tree
+    contracted = set(state.contractions)
+    tops = []
+    for v in range(t.node_count):
+        while v in contracted:
+            v = t.parent[v]
+        tops.append(v)
+    return tops
+
+
+def live_out_aggregates(state: ContractionState) -> tuple[dict, dict]:
+    """``(sums, counts)``: each supernode's live out-edge weight total and
+    number, keyed by its topmost node and recomputed from the tree. An edge
+    is live when it is not in ``state.contractions``."""
+    t = state.tree
+    contracted = set(state.contractions)
+    tops = supernode_tops(state)
+    sums: dict = {}
+    counts: dict = {}
+    for e in t.edges():
+        if e not in contracted:
+            r = tops[t.parent[e]]
+            sums[r] = sums.get(r, Fraction(0)) + t.weights[e]
+            counts[r] = counts.get(r, 0) + 1
+    return sums, counts
+
+
+def root_average_history(state: ContractionState) -> list[Fraction]:
+    """The root average before any contraction and after each one."""
+    history = [ContractionState(state.tree, state.objective).root_average]
+    return history + [step.root_average_after for step in state.steps()]
+
+
+def fresh_queue_edges(state: ContractionState) -> set[int]:
+    """The edges with a fresh entry in the engine's queue, read from its
+    private heap, union-find and generations."""
+    return {e for *_, e, g in state._heap if state._uf[e] == e and g == state._gen[e]}
 
 
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:
@@ -598,7 +639,7 @@ def check_pull_up_dichotomy(t: RootedTree, cut) -> bool:
     """
     edges = set(cut)
     _require(is_valid_cut(t, edges), "not a valid root-separating boundary cut")
-    inside = internal_subtree(t, edges).nodes
+    inside = reach_by_children(t, edges)
     _require(len(inside) > 1, "the cut is already the root's own boundary")
     total, size, average = evaluate_cut(t, edges)
     state = ContractionState(t)
@@ -613,7 +654,7 @@ def check_pull_up_dichotomy(t: RootedTree, cut) -> bool:
         swapped = (edges - set(t.children[v])) | {v}
         if not is_valid_cut(t, swapped):
             return False
-        if len(internal_subtree(t, swapped).nodes) >= len(inside):
+        if len(reach_by_children(t, swapped)) >= len(inside):
             return False  # the internal subtree must strictly shrink
         new_total, new_size, _ = evaluate_cut(t, swapped)
         if new_total * size >= total * new_size:

@@ -33,6 +33,7 @@ from .helpers import (
     check_push_down_gain,
     quiet_tree,
     random_tree,
+    root_average_history,
     star_tree,
 )
 
@@ -161,7 +162,7 @@ def test_criterion_4_root_average_monotonicity(corpus, capsys):
     for t in corpus:
         for objective in Objective:
             state = run_contraction(t, objective)
-            history = state.root_average_history()
+            history = root_average_history(state)
             runs += 1
             for step, before, after in zip(state.steps(), history, history[1:]):
                 if objective is Objective.MAXIMIZE:

@@ -27,6 +27,8 @@ from .helpers import (
     cut_edges_by_walk,
     edge_set_by_children,
     figure_max_cut_children,
+    fresh_queue_edges,
+    live_out_aggregates,
     path_tree,
     prime_denominator_path,
     prime_denominator_perf_tree,
@@ -34,8 +36,10 @@ from .helpers import (
     quiet_tree,
     random_linkage_csv,
     random_tree,
+    root_average_history,
     src_line_count,
     star_tree,
+    supernode_tops,
 )
 
 
@@ -134,7 +138,7 @@ class TestContract:
         state = ContractionState(t)
         state.contract(t.node_id("n1"))
         assert state.root_average == 10
-        assert state.live_out_count(t.root) == 1
+        assert state.cut_edges() == {t.node_id("n2")}
 
     def test_dead_edge_rejected(self):
         t = path_tree(5, 10)
@@ -170,11 +174,14 @@ class TestContract:
     def test_aggregates_after_merge(self, figure_tree):
         t = figure_tree
         state = ContractionState(t)
-        state.contract(t.node_id("b11"))
+        b11 = t.node_id("b11")
+        state.contract(b11)
         a1 = t.node_id("a1")
-        assert state.live_out_sum(a1) == 13  # 2 + 2 + 3 + 3 + 3
-        assert state.live_out_count(a1) == 5
-        assert state.representative(t.node_id("b11")) == state.representative(a1)
+        sums, counts = live_out_aggregates(state)
+        assert sums[a1] == 13  # 2 + 2 + 3 + 3 + 3
+        assert counts[a1] == 5
+        assert supernode_tops(state)[b11] == a1
+        assert state.contractibility(a1) == (13 - t.weights[a1]) / (5 - 1)
 
 
 class TestOptimalAverageCut:
@@ -236,10 +243,11 @@ class TestOptimalAverageCut:
 
         def scan(state):
             t = state.tree
-            rr = state.representative(t.root)
+            contracted = set(state.contractions)
+            tops = supernode_tops(state)
             return frozenset(
                 e for e in t.edges()
-                if state.is_alive(e) and state.representative(t.tail(e)) == rr
+                if e not in contracted and tops[t.tail(e)] == t.root
             )
 
         rng = random.Random(17)
@@ -268,14 +276,14 @@ class TestOptimalAverageCut:
 class TestTrace:
     def test_history_starts_at_initial_average(self, figure_tree):
         state = run_contraction(figure_tree)
-        history = state.root_average_history()
+        history = root_average_history(state)
         assert history[0] == 2
         assert history[-1] == 3
         assert len(history) == len(state.contractions) + 1
 
     def test_history_monotone_under_maximize(self, figure_tree):
         state = run_contraction(figure_tree)
-        history = state.root_average_history()
+        history = root_average_history(state)
         for before, after in zip(history, history[1:]):
             assert after >= before
         for step, before, after in zip(state.steps(), history, history[1:]):
@@ -292,10 +300,11 @@ class TestTrace:
 
     def test_pending_edges_are_live_internal(self, figure_tree):
         state = run_contraction(figure_tree)
+        contracted = set(state.contractions)
         expected = {
-            e for e in figure_tree.edges() if figure_tree.children[e] and state.is_alive(e)
+            e for e in figure_tree.edges() if figure_tree.children[e] and e not in contracted
         }
-        assert state.pending_edges() == expected
+        assert fresh_queue_edges(state) == expected
 
 
 class TestDistinctPrimeDenominatorsAtScale:
@@ -517,16 +526,19 @@ class _FractionModel:
 
 
 def _assert_queries_match(state, model):
-    """Every per-node and per-live-edge query of ``state`` equals the model's."""
-    t = model.t
-    for v in range(t.node_count):
-        # The model renames a head to its tail, so rep[v] is the topmost node
-        # of v's supernode.
-        assert state.representative(v) == model.rep[v]
-        assert state.live_out_sum(v) == model.out_sum[model.rep[v]]
-        assert state.live_out_count(v) == model.out_cnt[model.rep[v]]
+    """The supernodes and live out-edge aggregates recomputed from
+    ``state.contractions``, and every live edge's contractibility and the
+    root average read from ``state``, equal the model's."""
+    # The model renames a head to its tail, so rep[v] is the topmost node of
+    # v's supernode.
+    assert supernode_tops(state) == model.rep
+    sums, counts = live_out_aggregates(state)
+    for r in set(model.rep):
+        assert sums.get(r, 0) == model.out_sum[r]
+        assert counts.get(r, 0) == model.out_cnt[r]
     for f in model.live:
         assert state.contractibility(f) == model.rank(f)[1]
+    assert state.root_average == model.root_average()
 
 
 def _reference_run(t, objective, model=None):
@@ -736,7 +748,6 @@ class TestAgainstFractionReference:
                 state = ContractionState(t, objective)
                 model = _FractionModel(t, objective)
                 history = [model.root_average()]
-                assert state.initial_root_average == history[0]
                 _assert_queries_match(state, model)
                 while model.live:
                     e = rng.choice(model.live)
@@ -746,7 +757,7 @@ class TestAgainstFractionReference:
                     history.append(model.root_average())
                     assert state.steps()[-1] == ContractionStep(e, lam, history[-1], merged_root)
                     assert state.root_average == history[-1]
-                    assert state.root_average_history() == history
+                    assert root_average_history(state) == history
                     _assert_queries_match(state, model)
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,6 @@ from avgcut import (
     communities_from_cut,
     enumerate_cuts,
     from_edges,
-    internal_subtree,
     is_valid_cut,
     linkage_to_tree,
     optimal_average_cut,
@@ -40,6 +40,7 @@ from avgcut.errors import (
     ParseError,
     ZeroWeightWarning,
 )
+from avgcut.oracle import _cut_owners
 
 from .helpers import (
     communities_by_children,
@@ -78,14 +79,10 @@ class TestLinkageTable:
     def test_valid_table(self, three_item_table):
         assert three_item_table.n_items == 3
         assert three_item_table.size == (2, 3)
-        assert three_item_table.cluster_height(3) == 1
+        assert three_item_table.merges[0].height == 1
         t = linkage_to_tree(three_item_table)
         assert t.labels[t.root] == "c4"
         assert t.labels[t.parent[t.node_id("0")]] == "c3"
-
-    def test_item_height_is_a_shared_zero(self, three_item_table):
-        assert three_item_table.cluster_height(0) == 0
-        assert three_item_table.cluster_height(0) is three_item_table.cluster_height(2)
 
     def test_wrong_merge_count(self):
         with pytest.raises(LinkageError):
@@ -408,6 +405,20 @@ class TestCommunities:
         assert part.ordered()[0] == ("2", long_label)
         assert sorted([long_label, "\u0663", "x"], key=_label_key) == ["\u0663", long_label, "x"]
 
+    def test_a_label_of_2e5_digits_sorts_in_subquadratic_time(self):
+        # Past int()'s digit limit a decimal label converts by halving, as
+        # rational.parse_digits converts long runs; int(decimal.Decimal())
+        # is quadratic in the length.
+        huge = "9" * 200_000
+        t = parse_edgelist(f"r x 1\nr y 1\nx {huge} 1\nx 10 1\ny 3 1\ny 1{huge} 1\n")
+        started = time.perf_counter()
+        part = communities_from_cut(t, {t.node_id("x"), t.node_id("y")})
+        elapsed = time.perf_counter() - started
+        groups = [["3", "1" + huge], ["10", huge]]
+        assert part.ordered() == tuple(tuple(sorted(g, key=_label_key)) for g in groups)
+        assert part.ordered() == (("3", "1" + huge), ("10", huge))
+        assert elapsed < 0.5, elapsed
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -502,12 +513,12 @@ class TestOwnerPass:
             got, want = communities_from_cut(t, cut), communities_by_children(t, cut)
             assert got.communities == want.communities
             assert got.ordered() == want.ordered()
-            assert internal_subtree(t, cut).nodes == reach_by_children(t, cut)
+            owner = _cut_owners(t, cut)[0]
+            inside = {v for v in range(t.node_count) if owner[v] == -1}
+            assert inside == reach_by_children(t, cut)
         else:
             with pytest.raises(InvalidCutError):
                 communities_from_cut(t, cut)
-            with pytest.raises(InvalidCutError):
-                internal_subtree(t, cut)
 
     @pytest.mark.parametrize(
         "labels, extra",
@@ -533,8 +544,6 @@ class TestOwnerPass:
         assert not is_valid_cut(t, cut)
         with pytest.raises(InvalidCutError):
             communities_from_cut(t, cut)
-        with pytest.raises(InvalidCutError):
-            internal_subtree(t, cut)
 
     def test_cluster_builds_no_children_view(self, monkeypatch):
         trees = []
@@ -553,6 +562,12 @@ class TestOwnerPass:
         assert len(part) == result.size
         (tree,) = trees
         assert "children" not in vars(tree)
+
+    def test_the_cluster_steps_build_no_label_index(self):
+        t = linkage_to_tree(parse_linkage_csv(random_linkage_csv(random.Random(8), 200)))
+        communities_from_cut(t, optimal_average_cut(t).cut)
+        assert "label_index" not in vars(t)
+        assert t.node_id("c398") == t.root
 
 
 class TestCluster:

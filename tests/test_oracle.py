@@ -17,12 +17,11 @@ from avgcut import (
     count_cuts,
     enumerate_cuts,
     evaluate_cut,
-    internal_subtree,
     is_valid_cut,
     optimal_average_cut,
     parse_edgelist,
 )
-from avgcut.errors import InvalidCutError, TooManyCutsError
+from avgcut.errors import TooManyCutsError
 
 from .helpers import (
     NotApplicableError,
@@ -36,6 +35,7 @@ from .helpers import (
     figure_max_cut_children,
     path_tree,
     quiet_tree,
+    reach_by_children,
     star_tree,
 )
 
@@ -147,10 +147,10 @@ class TestIsValidCut:
 
     def test_internal_subtree_roundtrip(self, figure_tree):
         for subtree, cut in enumerate_cuts(figure_tree):
-            assert internal_subtree(figure_tree, cut) == subtree
+            assert subtree.boundary(figure_tree) == cut
+            assert reach_by_children(figure_tree, cut) == subtree.nodes
             break
-        with pytest.raises(InvalidCutError):
-            internal_subtree(figure_tree, {figure_tree.root})
+        assert not is_valid_cut(figure_tree, {figure_tree.root})
 
 
 class TestBruteForce:

@@ -30,7 +30,10 @@ from .helpers import (
     check_contraction_keeps_optimum,
     check_pull_up_dichotomy,
     check_push_down_gain,
+    fresh_queue_edges,
+    live_out_aggregates,
     quiet_tree,
+    root_average_history,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -91,7 +94,8 @@ class TestContractionStateInvariants:
         state = ContractionState(t)
         self._assert_consistent(t, state)
         while True:
-            live_internal = [e for e in t.edges() if t.children[e] and state.is_alive(e)]
+            contracted = set(state.contractions)
+            live_internal = [e for e in t.edges() if t.children[e] and e not in contracted]
             if not live_internal:
                 break
             state.contract(rng.choice(live_internal))
@@ -99,27 +103,29 @@ class TestContractionStateInvariants:
 
     @staticmethod
     def _assert_consistent(t, state):
-        sums: dict = {}
-        counts: dict = {}
+        """The engine's aggregates, read through every live internal edge's
+        contractibility and the root average, equal a recomputation from
+        the tree."""
+        sums, counts = live_out_aggregates(state)
+        contracted = set(state.contractions)
         for e in t.edges():
-            if state.is_alive(e):
-                r = state.representative(t.tail(e))
-                sums[r] = sums.get(r, Fraction(0)) + t.weights[e]
-                counts[r] = counts.get(r, 0) + 1
-        for v in range(t.node_count):
-            r = state.representative(v)
-            assert state.live_out_sum(v) == sums.get(r, Fraction(0))
-            assert state.live_out_count(v) == counts.get(r, 0)
-        rr = state.representative(t.root)
-        assert state.root_average == sums[rr] / counts[rr]
-        live_internal = {e for e in t.edges() if t.children[e] and state.is_alive(e)}
-        assert state.pending_edges() == live_internal
+            if e in contracted or not t.children[e]:
+                continue
+            gap = sums[e] - t.weights[e]
+            lam = state.contractibility(e)
+            if counts[e] > 1:
+                assert lam == gap / (counts[e] - 1)
+            else:  # a neutral swap's infinity depends on the objective
+                assert not lam.is_finite and (gap == 0 or (lam > 0) == (gap > 0))
+        assert state.root_average == sums[t.root] / counts[t.root]
+        live_internal = {e for e in t.edges() if t.children[e] and e not in contracted}
+        assert fresh_queue_edges(state) == live_internal
 
     @PROPERTY_SETTINGS
     @given(trees(), st.sampled_from(list(Objective)))
     def test_root_average_monotone_along_run(self, t, objective):
         state = run_contraction(t, objective)
-        history = state.root_average_history()
+        history = root_average_history(state)
         improving = (lambda a, b: a >= b) if objective is Objective.MAXIMIZE else (
             lambda a, b: a <= b
         )

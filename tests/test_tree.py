@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcut import build_tree, from_edges, parse_edgelist
+from avgcut import RootedTree, build_tree, from_edges, optimal_average_cut, parse_edgelist
 from avgcut.errors import (
     DuplicateParentError,
     MalformedWeightError,
@@ -163,6 +164,21 @@ class TestQueries:
         t = figure_tree
         got = {t.labels[v] for v in t.subtree_leaves(t.node_id("a1"))}
         assert got == {f"c1{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)}
+
+    def test_node_id_on_a_tree_built_by_its_constructor(self):
+        t = RootedTree(
+            node_count=2, root=0, parent=(None, 0), wnum=(0, 3), wden=(1, 1), labels=("r", "a")
+        )
+        assert (t.node_id("r"), t.node_id("a")) == (0, 1)
+        assert replace(t).node_id("a") == 1
+        assert replace(t, labels=("s", "b")).node_id("b") == 1
+
+    def test_a_cut_builds_no_label_index(self):
+        t = parse_edgelist("r a 1\na b 3\na c 1\nr d 2\n")
+        optimal_average_cut(t)
+        assert "label_index" not in vars(t)
+        assert t.node_id("d") == 4
+        assert t.label_index == {"r": 0, "a": 1, "b": 2, "c": 3, "d": 4}
 
 
 class TestInvariants:
