@@ -12,57 +12,14 @@ import hashlib
 import sys
 import time
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .contraction import Objective, optimal_average_cut, run_contraction
+from .contraction import CutResult, Objective, optimal_average_cut, run_contraction
 from .dendro import communities_from_cut, linkage_to_tree, parse_linkage_csv
 from .errors import AvgCutError, TooManyCutsError
 from .io import edge_rows, parse_edgelist, parse_newick
 from .oracle import DEFAULT_CUT_LIMIT, brute_force_optimum, count_cuts
 from .rational import decimal_approx, exact_str
 from .tree import RootedTree
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one command run reports, in a fixed field order."""
-
-    input_digest: str
-    objective: str
-    average: Fraction
-    total: Fraction
-    size: int
-    cut: tuple[tuple[str, str, str], ...]
-    contraction_count: int | None = None
-    cut_count: int | None = None
-    scheme: str | None = None
-    communities: tuple[tuple[str, ...], ...] | None = None
-    trace: tuple[tuple[str, str, str], ...] | None = None
-    elapsed_s: float = 0.0
-
-    def to_lines(self) -> list[str]:
-        lines = [f"input_digest: {self.input_digest}", f"objective: {self.objective}"]
-        if self.scheme is not None:
-            lines.append(f"scheme: {self.scheme}")
-        lines.append(f"average: {exact_str(self.average)}")
-        lines.append(f"average_decimal: {decimal_approx(self.average)}")
-        lines.append(f"total: {exact_str(self.total)}")
-        lines.append(f"size: {self.size}")
-        if self.contraction_count is not None:
-            lines.append(f"contraction_count: {self.contraction_count}")
-        if self.cut_count is not None:
-            lines.append(f"cut_count: {exact_str(self.cut_count)}")
-        if self.communities is not None:
-            for members in self.communities:
-                lines.append("community: " + " ".join(members))
-        for parent, child, weight in self.cut:
-            lines.append(f"cut: {parent} {child} {weight}")
-        if self.trace is not None:
-            for parent, child, lam in self.trace:
-                lines.append(f"trace: {parent} {child} {lam}")
-        lines.append(f"elapsed_ms: {self.elapsed_s * 1000:.3f}")
-        return lines
 
 
 def _digest(data: bytes) -> str:
@@ -84,30 +41,40 @@ def _load_tree(path: str, fmt: str) -> tuple[RootedTree, str]:
     return tree, digest
 
 
+def _print_report(
+    args, digest: str, tree: RootedTree, result: CutResult, elapsed: float, communities=(), steps=()
+) -> None:
+    """Print one ``cut``, ``oracle`` or ``cluster`` report. Only ``cluster``
+    prints ``scheme:`` and passes ``communities``, and only ``cut --trace``
+    passes ``steps``; the oracle's result carries ``cut_count``, which
+    replaces ``contraction_count:``."""
+    labels = tree.labels
+    lines = [f"input_digest: {digest}", f"objective: {args.objective}"]
+    if args.command == "cluster":
+        lines.append(f"scheme: {args.scheme}")
+    lines += [
+        f"average: {exact_str(result.average)}",
+        f"average_decimal: {decimal_approx(result.average)}",
+        f"total: {exact_str(result.total)}",
+        f"size: {result.size}",
+        f"contraction_count: {len(result.contractions)}"
+        if result.cut_count is None
+        else f"cut_count: {exact_str(result.cut_count)}",
+    ]
+    lines += ["community: " + " ".join(members) for members in communities]
+    lines += [f"cut: {p} {c} {w}" for p, c, w in edge_rows(tree, sorted(result.cut))]
+    lines += [f"trace: {labels[tree.tail(e)]} {labels[e]} {lam}" for e, lam, *_ in steps]
+    lines.append(f"elapsed_ms: {elapsed * 1000:.3f}")
+    print("\n".join(lines))
+
+
 def _cmd_cut(args) -> int:
     tree, digest = _load_tree(args.input, args.format)
     started = time.perf_counter()
     state = run_contraction(tree, Objective(args.objective))
     result = state.result()
     elapsed = time.perf_counter() - started
-    trace = None
-    if args.trace:
-        trace = tuple(
-            (tree.labels[tree.tail(s.edge)], tree.labels[s.edge], str(s.contractibility))
-            for s in state.steps()
-        )
-    report = RunReport(
-        input_digest=digest,
-        objective=args.objective,
-        average=result.average,
-        total=result.total,
-        size=result.size,
-        cut=edge_rows(tree, sorted(result.cut)),
-        contraction_count=len(result.contractions),
-        trace=trace,
-        elapsed_s=elapsed,
-    )
-    print("\n".join(report.to_lines()))
+    _print_report(args, digest, tree, result, elapsed, steps=state.steps() if args.trace else ())
     return 0
 
 
@@ -116,17 +83,7 @@ def _cmd_oracle(args) -> int:
     started = time.perf_counter()
     result = brute_force_optimum(tree, Objective(args.objective), args.limit)
     elapsed = time.perf_counter() - started
-    report = RunReport(
-        input_digest=digest,
-        objective=args.objective,
-        average=result.average,
-        total=result.total,
-        size=result.size,
-        cut=edge_rows(tree, sorted(result.cut)),
-        cut_count=result.cut_count,
-        elapsed_s=elapsed,
-    )
-    print("\n".join(report.to_lines()))
+    _print_report(args, digest, tree, result, elapsed)
     return 0
 
 
@@ -151,19 +108,7 @@ def _cmd_cluster(args) -> int:
     result = optimal_average_cut(tree, Objective(args.objective))
     partition = communities_from_cut(tree, result.cut)
     elapsed = time.perf_counter() - started
-    report = RunReport(
-        input_digest=digest,
-        objective=args.objective,
-        average=result.average,
-        total=result.total,
-        size=result.size,
-        cut=edge_rows(tree, sorted(result.cut)),
-        contraction_count=len(result.contractions),
-        scheme=args.scheme,
-        communities=partition.ordered(),
-        elapsed_s=elapsed,
-    )
-    print("\n".join(report.to_lines()))
+    _print_report(args, digest, tree, result, elapsed, communities=partition.ordered())
     return 0
 
 

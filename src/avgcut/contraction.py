@@ -399,13 +399,13 @@ class ContractionState:
             lam_den = d * b
             if forced is None:
                 # Stop unless the value strictly beats the root average; of
-                # the infinities only the one whose oriented key is -inf does.
+                # the infinities only the oriented -inf does.
                 if b:
                     lhs = num_e * alpha_den
                     rhs = alpha_num * lam_den
                     beats = lhs < rhs if maximize else lhs > rhs
                 else:
-                    beats = entry[0] < 0
+                    beats = sign * num_e < 0
                 if not beats:
                     heappush(heap, entry)  # keep the queue complete
                     return

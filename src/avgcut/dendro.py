@@ -295,8 +295,21 @@ def parse_linkage_csv(text: str) -> LinkageTable:
     Heights are parsed exactly as decimal text. The item count is implied:
     m merge rows describe m + 1 items.
     """
+    # Rows end at \n, \r\n or \r. The csv module refuses a field longer than
+    # csv.field_size_limit(), by default 131,072 characters, fewer than a
+    # height may have; no field is longer than the text, so that is the limit.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    try:
+        return _table_from_rows(enumerate(reader, start=1))
+    except csv.Error as err:
+        raise ParseError(str(err), line=reader.line_num) from None
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _table_from_rows(rows) -> LinkageTable:
     # Rows with no non-whitespace cell are skipped.
-    rows = enumerate(csv.reader(io.StringIO(text)), start=1)
     for header_line, header_row in rows:
         if "".join(header_row).strip():
             break

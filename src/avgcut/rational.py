@@ -181,12 +181,12 @@ def ratio_str(num: int, den: int) -> str:
         return text if den == 1 else f"{text}/{decimal.Decimal(den)}"
 
 
-def decimal_approx(value: Fraction, digits: int = 12) -> str:
-    """A ``digits``-significant-digit decimal rendering, for humans.
+def decimal_approx(value: Fraction) -> str:
+    """A 12-significant-digit decimal rendering, for humans.
 
     The exact ``p/q`` text is the authoritative form; this is a convenience
     companion and is computed by correctly rounded decimal division.
     """
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import csv
 import decimal
 import gc
 import io
+import itertools
 import math
 import os
 import random
@@ -26,6 +28,7 @@ from avgcut import (
 from avgcut.cli import run_cli
 from avgcut.errors import ZeroWeightWarning
 from avgcut.dendro import _label_key
+from avgcut.rational import MAX_EXPONENT
 
 from .helpers import figure_edge_rows, random_linkage_csv
 
@@ -346,6 +349,39 @@ class TestClusterCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_height_as_long_as_the_grammar_allows(self, capsys, tmp_path, fails):
+        # Two 100,000-digit runs: 200,001 characters, past the csv module's
+        # default field limit of 131,072. The limit reads as before after a
+        # run that succeeds and after one that fails.
+        height = "1" * MAX_EXPONENT + "/" + "3" * MAX_EXPONENT
+        path = tmp_path / "long.csv"
+        path.write_text(f"left,right,height,size\n0,1,{height},2\n" + "x\n" * fails)
+        limit = csv.field_size_limit()
+        code, out, err = run(capsys, "cluster", "--linkage", str(path))
+        assert csv.field_size_limit() == limit
+        if fails:
+            assert (code, err) == (1, "error: line 3: expected 4 fields, got 1\n")
+        else:
+            assert (code, err) == (0, "")
+            assert parse_report(out)["average"] == "1/3"
+
+    def test_rows_ending_at_a_carriage_return(self, capsys, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"left,right,height,size\r0,1,1,2\r\n2,3,3,3\r")
+        code, out, err = run(capsys, "cluster", "--linkage", str(path))
+        assert (code, err) == (0, "")
+        assert parse_report(out)["community"] == ["0 1", "2"]
+
+    def test_a_nul_character_is_a_line_numbered_error(self, capsys, tmp_path):
+        # Python 3.10's csv module refuses a NUL itself; later versions pass
+        # it on, and the field fails as an integer.
+        path = tmp_path / "nul.csv"
+        path.write_text("left,right,height,size\n0\x00,1,1,2\n")
+        code, _, err = run(capsys, "cluster", "--linkage", str(path))
+        assert code == 1
+        assert err.startswith("error: line 2: ")
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):
@@ -449,3 +485,170 @@ class TestCollectorPause:
         gc.disable()
         optimal_average_cut(figure_tree)
         assert not gc.isenabled()
+
+
+
+SPURS = "r a 1\na b 3\nr y 8\ny c 1\ny d 1\ny e 2\nr z 2\nz g 1\n"
+TINY_LINKAGE = "left,right,height,size\n0,1,1,2\n3,2,3,3\n"
+_HEAD = "input_digest objective"
+_STATS = "average average_decimal total size"
+_CLUSTER = f"{_HEAD} scheme {_STATS} contraction_count community cut elapsed_ms"
+
+
+class TestReportShape:
+    """Each report's keys in order, with a run of equal keys written once, so
+    a line that moves anywhere else fails. CI checks the same sequences
+    through the installed script."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["cut"], f"{_HEAD} {_STATS} contraction_count cut elapsed_ms"),
+            (["cut", "--trace"], f"{_HEAD} {_STATS} contraction_count cut trace elapsed_ms"),
+            (["oracle"], f"{_HEAD} {_STATS} cut_count cut elapsed_ms"),
+            (["count"], "input_digest cut_count elapsed_ms"),
+            (["cluster", "--scheme", "gap"], _CLUSTER),
+            (["cluster", "--scheme", "height"], _CLUSTER),
+        ],
+        ids=["cut", "cut-trace", "oracle", "count", "cluster-gap", "cluster-height"],
+    )
+    def test_key_order(self, capsys, tmp_path, argv, keys):
+        path = tmp_path / "input"
+        path.write_text(TINY_LINKAGE if argv[0] == "cluster" else SPURS)
+        flag = "--linkage" if argv[0] == "cluster" else "--input"
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, err) == (0, "")
+        keys_in_order = (line.partition(": ")[0] for line in out.splitlines())
+        assert " ".join(key for key, _ in itertools.groupby(keys_in_order)) == keys
+
+
+def run_on(capsys, tmp_path, text, *argv):
+    """``(exit code, stdout lines, stderr)`` of ``avgcut ARGV FILE``, where
+    ``argv`` ends with ``--input`` or ``--linkage`` and FILE holds ``text``
+    byte for byte."""
+    path = tmp_path / f"input{len(os.listdir(tmp_path))}"
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, *argv, str(path))
+    return code, out.splitlines(), err
+
+
+def lines_with(lines, *keys):
+    return [line for line in lines if line.partition(": ")[0] in keys]
+
+
+class TestConsoleScriptSteps:
+    """The console-script steps of CI whose inputs are fixed text, through
+    ``run_cli``: the same inputs, lines and exit codes. The trace-lines step
+    is ``TestCutCommand::test_trace_text``, the zero-weight step is
+    ``TestZeroWeightWarning`` and the 17-spoke broom step is
+    ``TestOracleCommand::test_broom_report_is_the_same_on_one_process_and_several``.
+    The two steps that draw their inputs from ``rand()`` run only in CI."""
+
+    def test_rational_newick_tree(self, capsys, tmp_path):
+        text = "(a:1/3,b:2/7)r;\n"
+        code, out, _ = run_on(capsys, tmp_path, text, "cut", "--format", "newick", "--input")
+        assert code == 0 and "average: 13/42" in out
+
+    @pytest.mark.parametrize(
+        "objective, first_trace, average",
+        [
+            ("max", "trace: r y 9007199254740993", "average: 27021597764222978/3"),
+            ("min", "trace: r x 9007199254740992", "average: 27021597764222977/3"),
+        ],
+    )
+    def test_sibling_contractibilities_one_float_apart(
+        self, capsys, tmp_path, objective, first_trace, average
+    ):
+        text = (
+            "r x 9007199254740992\nr y 9007199254740993\nx a 9007199254740992\n"
+            "x b 9007199254740992\ny c 9007199254740993\ny d 9007199254740993\n"
+        )
+        argv = ("cut", "--trace", "--objective", objective, "--input")
+        code, out, _ = run_on(capsys, tmp_path, text, *argv)
+        assert code == 0 and average in out
+        assert lines_with(out, "trace")[0] == first_trace
+
+    def test_linkage_csv_and_newick_cut_count(self, capsys, tmp_path):
+        code, out, _ = run_on(capsys, tmp_path, TINY_LINKAGE, "cluster", "--linkage")
+        assert code == 0 and "community: 0 1" in out
+        text = "((a:1,b:2)x:3,c:4)r;\n"
+        code, out, _ = run_on(capsys, tmp_path, text, "count", "--format", "newick", "--input")
+        assert code == 0 and "cut_count: 2" in out
+
+    def test_linkage_csv_height_forms_and_a_blank_row(self, capsys, tmp_path):
+        text = "left,right,height,size\n0,1,1/3,2\n\n2,3,0.5,2\n4,5,1.25e0,4\n"
+        code, out, _ = run_on(capsys, tmp_path, text, "cluster", "--linkage")
+        assert code == 0
+        for line in (
+            "average: 5/6",
+            "community: 0 1",
+            "community: 2 3",
+            "cut: c6 c4 11/12",
+            "cut: c6 c5 3/4",
+        ):
+            assert line in out
+
+    def test_malformed_newick(self, capsys, tmp_path):
+        text = "(a:1,,b:2)r;\n"
+        code, _, err = run_on(capsys, tmp_path, text, "cut", "--format", "newick", "--input")
+        assert (code, err) == (1, "error: expected a node at offset 5\n")
+
+    def test_top_down_and_bottom_up_and_a_cycle(self, capsys, tmp_path):
+        down_text = "r a 1\na b 3\na c 1\nr d 2\nd e 5\n"
+        code, down, _ = run_on(capsys, tmp_path, down_text, "cut", "--input")
+        assert code == 0 and "average: 3" in down
+        up_text = "d e 5\nr d 2\na c 1\na b 3\nr a 1\n"
+        code, up, _ = run_on(capsys, tmp_path, up_text, "cut", "--input")
+        assert code == 0
+        keys = ("average", "size", "cut")
+        assert sorted(lines_with(down, *keys)) == sorted(lines_with(up, *keys))
+        code, _, err = run_on(capsys, tmp_path, "r a 1\nx y 1\ny x 2\n", "cut", "--input")
+        assert (code, err) == (1, "error: parent relation contains a cycle or unreachable nodes\n")
+
+    def test_spaced_pq_height(self, capsys, tmp_path):
+        text = "left,right,height,size\n0,1,1 / 2,2\n"
+        code, _, err = run_on(capsys, tmp_path, text, "cluster", "--linkage")
+        assert (code, err) == (1, "error: line 2: not a decimal height: '1 / 2'\n")
+
+    def test_underscore_grouped_weight(self, capsys, tmp_path):
+        code, _, err = run_on(capsys, tmp_path, "r a 1_000\n", "cut", "--input")
+        expected = "error: line 1: not a decimal or p/q rational literal: '1_000'\n"
+        assert (code, err) == (1, expected)
+
+    def test_brute_force_oracle_and_its_limit(self, capsys, tmp_path):
+        text = "r a 1\nr b 2\na c 3\na d 5\n"
+        code, out, _ = run_on(capsys, tmp_path, text, "oracle", "--input")
+        assert code == 0 and "average: 10/3" in out and "cut_count: 2" in out
+        code, _, err = run_on(capsys, tmp_path, text, "oracle", "--limit", "1", "--input")
+        assert (code, err) == (2, "error: 2 cuts exceed the limit of 1\n")
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_cut_and_oracle_print_one_tied_optimum(self, capsys, tmp_path, objective):
+        text = "b e 1\na b 1\na c 1\nr a 1\nr d 1\n"
+        _, cut, _ = run_on(capsys, tmp_path, text, "cut", "--objective", objective, "--input")
+        _, oracle, _ = run_on(capsys, tmp_path, text, "oracle", "--objective", objective, "--input")
+        assert lines_with(cut, "total", "size", "cut") == lines_with(oracle, "total", "size", "cut")
+        assert lines_with(oracle, "cut") == ["cut: r a 1", "cut: r d 1"]
+
+    def test_oracle_on_a_3e4_edge_path_of_equal_weights(self, capsys, tmp_path):
+        text = "".join(f"n{i} n{i + 1} 1\n" for i in range(30_000))
+        code, out, _ = run_on(capsys, tmp_path, text, "oracle", "--input")
+        assert code == 0 and "cut_count: 30000" in out and "average: 1" in out
+
+    def test_comb_of_5e4_teeth(self, capsys, tmp_path):
+        n = 50_000
+        teeth = "".join(f"s{i} s{i + 1} {i + 1}\ns{i} t{i} {2 * n}\n" for i in range(n))
+        text = teeth + f"s{n} t{n} 1\n"
+        code, out, _ = run_on(capsys, tmp_path, text, "cut", "--objective", "max", "--input")
+        assert code == 0
+        assert "average: 5000050000/50001" in out and "contraction_count: 49999" in out
+        code, out, _ = run_on(capsys, tmp_path, text, "cut", "--objective", "min", "--input")
+        assert code == 0 and "average: 100001/2" in out and "size: 2" in out
+
+    def test_12_item_caterpillar_dendrogram(self, capsys, tmp_path):
+        rows = "".join(f"{11 + k},{k + 1},{k + 1}.5,{k + 2}\n" for k in range(1, 11))
+        text = "left,right,height,size\n0,1,1,2\n" + rows
+        code, out, _ = run_on(capsys, tmp_path, text, "cluster", "--linkage")
+        assert code == 0 and "average: 41/5" in out
+        expected = ["0 1 2 3 4 5 6 7", "8", "9", "10", "11"]
+        assert lines_with(out, "community") == [f"community: {m}" for m in expected]

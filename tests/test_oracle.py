@@ -36,6 +36,7 @@ from .helpers import (
     path_tree,
     quiet_tree,
     reach_by_children,
+    src_line_count,
     star_tree,
 )
 
@@ -574,3 +575,19 @@ class TestDeepPaths:
             assert result.cut_count == n
             timings[n] = best
         assert timings[20_000] < 8 * timings[5_000], timings
+
+
+class TestDeepPathLineCounts:
+    """``TestDeepPaths`` without a clock: the lines run inside ``avgcut``
+    grow about 4x for 4x the edges on any host, where a quadratic walk
+    would grow 16x."""
+
+    @pytest.mark.parametrize("kind", ["equal", "increasing"])
+    def test_growth_is_linear(self, kind):
+        lines = {}
+        for n in (2_500, 10_000):
+            t = path_tree(*([1] * n if kind == "equal" else range(1, n + 1)))
+            result, lines[n] = src_line_count(brute_force_optimum, t)
+            assert result.average == optimal_average_cut(t).average
+            assert result.cut_count == n
+        assert lines[10_000] < 8 * lines[2_500], lines
