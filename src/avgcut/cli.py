@@ -29,7 +29,8 @@ def _digest(data: bytes) -> str:
 def _read(path: str) -> tuple[str, str]:
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), _digest(data)
+    # A leading byte-order mark is not text; the digest still covers it.
+    return data.decode("utf-8-sig"), _digest(data)
 
 
 _FORMATS = ("edgelist", "newick")

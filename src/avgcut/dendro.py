@@ -17,7 +17,6 @@ the ``cluster`` pipeline never builds.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -292,42 +291,34 @@ def cluster(
 def parse_linkage_csv(text: str) -> LinkageTable:
     """Parse ``left,right,height,size`` CSV rows into a LinkageTable.
 
-    Heights are parsed exactly as decimal text. The item count is implied:
-    m merge rows describe m + 1 items.
+    A row is one line, ended by ``\\n``, ``\\r\\n`` or ``\\r``, and its
+    fields are split at every comma; there is no quoting. Rows with no
+    non-whitespace cell are skipped. Heights are parsed exactly as decimal
+    text. The item count is implied: m merge rows describe m + 1 items.
     """
-    # Rows end at \n, \r\n or \r. The csv module refuses a field longer than
-    # csv.field_size_limit(), by default 131,072 characters, fewer than a
-    # height may have; no field is longer than the text, so that is the limit.
-    reader = csv.reader(io.StringIO(text, newline=""))
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
-    try:
-        return _table_from_rows(enumerate(reader, start=1))
-    except csv.Error as err:
-        raise ParseError(str(err), line=reader.line_num) from None
-    finally:
-        csv.field_size_limit(limit)
-
-
-def _table_from_rows(rows) -> LinkageTable:
-    # Rows with no non-whitespace cell are skipped.
-    for header_line, header_row in rows:
-        if "".join(header_row).strip():
+    # newline="" ends lines at \n, \r\n and \r only (str.splitlines also
+    # ends one at \x1c or \x85, which a cell may hold). A line keeps its
+    # terminator, which str.strip and int() skip as whitespace.
+    rows = enumerate(io.StringIO(text, newline=""), start=1)
+    for header_line, line in rows:
+        if line.replace(",", "").strip():
             break
     else:
         raise ParseError("empty linkage CSV")
-    header = [cell.strip() for cell in header_row]
+    header = [cell.strip() for cell in line.split(",")]
     if header != ["left", "right", "height", "size"]:
         raise ParseError(
             f"expected header left,right,height,size, got {','.join(header)}",
             line=header_line,
         )
     left, right, hnum, hden, size = columns = [], [], [], [], []
-    for lineno, row in rows:
+    for lineno, line in rows:
+        row = line.split(",")
         try:
             left_text, right_text, height_text, size_text = row
             a, b, merged = int(left_text), int(right_text), int(size_text)
         except ValueError:
-            if not "".join(row).strip():
+            if not line.replace(",", "").strip():
                 continue
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno) from None

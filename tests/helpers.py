@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import random
 import sys
@@ -22,15 +24,18 @@ from avgcut import (
     from_edges,
     is_valid_cut,
 )
-from avgcut.dendro import Partition, _label_key, _sorted_labels
+from avgcut.dendro import LinkageTable, Partition, _label_key, _sorted_labels
 from avgcut.errors import (
     AvgCutError,
     InvalidCutError,
+    MalformedWeightError,
     MissingBranchLengthError,
     NotATreeError,
+    ParseError,
     TreeError,
     ZeroWeightWarning,
 )
+from avgcut.rational import echo, parse_rational_pair
 
 _PACKAGE_DIR = os.path.dirname(avgcut.__file__) + os.sep
 
@@ -567,6 +572,65 @@ def random_linkage_csv(rng: random.Random, items: int) -> str:
         active.append(items + m)
         rows.append(f"{left},{right},{cents // 100}.{cents % 100:02d},{size[-1]}")
     return "\n".join(rows) + "\n"
+
+
+def parse_linkage_csv_reference(text: str) -> LinkageTable:
+    """``parse_linkage_csv`` with its rows read through ``csv.reader``:
+    quoted fields may hold commas and line breaks, and an error names the
+    row's number, not its line. Without a ``"`` in the text, its rows are
+    the lines split at every comma."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))
+    try:
+        return _reference_table_from_rows(enumerate(reader, start=1))
+    except csv.Error as err:
+        raise ParseError(str(err), line=reader.line_num) from None
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _reference_table_from_rows(rows) -> LinkageTable:
+    for header_line, header_row in rows:
+        if "".join(header_row).strip():
+            break
+    else:
+        raise ParseError("empty linkage CSV")
+    header = [cell.strip() for cell in header_row]
+    if header != ["left", "right", "height", "size"]:
+        raise ParseError(
+            f"expected header left,right,height,size, got {','.join(header)}",
+            line=header_line,
+        )
+    left, right, hnum, hden, size = columns = [], [], [], [], []
+    for lineno, row in rows:
+        try:
+            left_text, right_text, height_text, size_text = row
+            a, b, merged = int(left_text), int(right_text), int(size_text)
+        except ValueError:
+            if not "".join(row).strip():
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno) from None
+            try:
+                a, b, merged = (
+                    int(left_text.strip()),
+                    int(right_text.strip()),
+                    int(size_text.strip()),
+                )
+            except ValueError:
+                raise ParseError("left, right, and size must be integers", line=lineno) from None
+        try:
+            num, den = parse_rational_pair(height_text)
+        except MalformedWeightError:
+            raise ParseError(
+                f"not a decimal height: {echo(height_text.strip())}", line=lineno
+            ) from None
+        left.append(a)
+        right.append(b)
+        hnum.append(num)
+        hden.append(den)
+        size.append(merged)
+    return LinkageTable._from_columns(len(left) + 1, *columns)
 
 
 # --- executable replacement properties ------------------------------------- #

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import decimal
 import gc
+import hashlib
 import io
 import itertools
 import math
@@ -352,8 +353,8 @@ class TestClusterCommand:
     @pytest.mark.parametrize("fails", [False, True])
     def test_a_height_as_long_as_the_grammar_allows(self, capsys, tmp_path, fails):
         # Two 100,000-digit runs: 200,001 characters, past the csv module's
-        # default field limit of 131,072. The limit reads as before after a
-        # run that succeeds and after one that fails.
+        # default field limit of 131,072, which the reader neither imposes
+        # nor changes, after a run that succeeds or one that fails.
         height = "1" * MAX_EXPONENT + "/" + "3" * MAX_EXPONENT
         path = tmp_path / "long.csv"
         path.write_text(f"left,right,height,size\n0,1,{height},2\n" + "x\n" * fails)
@@ -374,13 +375,56 @@ class TestClusterCommand:
         assert parse_report(out)["community"] == ["0 1", "2"]
 
     def test_a_nul_character_is_a_line_numbered_error(self, capsys, tmp_path):
-        # Python 3.10's csv module refuses a NUL itself; later versions pass
-        # it on, and the field fails as an integer.
         path = tmp_path / "nul.csv"
         path.write_text("left,right,height,size\n0\x00,1,1,2\n")
         code, _, err = run(capsys, "cluster", "--linkage", str(path))
         assert code == 1
         assert err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('left,right,height,size\n0,1,"1\n",2\nx\n', "line 2: expected 4 fields, got 3"),
+            ('left,right,height,size\n"0",1,1,2\n', "line 2: left, right, and size must be integers"),
+        ],
+        ids=["quoted-line-break", "quoted-field"],
+    )
+    def test_quotes_are_ordinary_characters(self, capsys, tmp_path, text, message):
+        code, _, err = run_on(capsys, tmp_path, text, "cluster", "--linkage")
+        assert (code, err) == (1, f"error: {message}\n")
+
+    def test_a_header_only_csv_has_one_item(self, capsys, tmp_path):
+        code, _, err = run_on(capsys, tmp_path, "left,right,height,size\n", "cluster", "--linkage")
+        assert (code, err) == (1, "error: need at least 2 items, got 1\n")
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the text is not part of it: the report
+    is the one without it, except for ``input_digest``, which covers the
+    bytes as read."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["cluster", "--linkage"], "left,right,height,size\n0,1,1,2\n3,2,3,3\n"),
+            (["cut", "--format", "newick", "--input"], "(a:1,b:2)r;\n"),
+            (["cut", "--input"], "r a 5\nr b 1\n"),
+            (["cut", "--objective", "min", "--input"], "s r 1\nr a 5\nr b 1\n"),
+        ],
+        ids=["linkage", "newick", "edgelist", "edgelist-single-use-root"],
+    )
+    def test_reports_as_without_it(self, capsys, tmp_path, argv, text):
+        reports = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            path = tmp_path / f"input{len(reports)}"
+            path.write_bytes(data)
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, err) == (0, "")
+            report = parse_report(out)
+            assert report.pop("input_digest") == hashlib.sha256(data).hexdigest()
+            del report["elapsed_ms"]
+            reports.append(report)
+        assert reports[1] == reports[0]
 
 
 class TestArgumentErrors:
@@ -587,6 +631,11 @@ class TestConsoleScriptSteps:
             "cut: c6 c5 3/4",
         ):
             assert line in out
+
+    def test_linkage_csv_with_mixed_line_endings_and_a_bad_fourth_line(self, capsys, tmp_path):
+        text = "left,right,height,size\r\n0,1,1,2\r3,2,2,3\n4,5,abc,4\r\n"
+        code, _, err = run_on(capsys, tmp_path, text, "cluster", "--linkage")
+        assert (code, err) == (1, "error: line 4: not a decimal height: 'abc'\n")
 
     def test_malformed_newick(self, capsys, tmp_path):
         text = "(a:1,,b:2)r;\n"

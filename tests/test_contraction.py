@@ -90,6 +90,19 @@ class TestContractibilityType:
         assert len({Contractibility.finite(Fraction(4, 2)), Contractibility(4, 2), 2, Fraction(2)}) == 1
         assert len({POSITIVE_INFINITY, NEGATIVE_INFINITY, POSITIVE_INFINITY}) == 2
 
+    @pytest.mark.parametrize("num, den", [(1, -1), (0, 0)])
+    def test_a_negative_denominator_or_zero_over_zero_is_rejected(self, num, den):
+        with pytest.raises(ValueError, match=f"not a contractibility: {num}/{den}"):
+            Contractibility(num, den)
+
+    def test_repr(self):
+        assert repr(Contractibility(3, 4)) == "Contractibility(3, 4)"
+
+    def test_other_types_neither_equal_nor_order(self):
+        assert (Contractibility(1) == "x") is False
+        with pytest.raises(TypeError):
+            Contractibility(1) < "x"
+
 
 class TestEdgeContractibility:
     def test_figure_weight2_root_edge(self, figure_tree):

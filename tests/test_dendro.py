@@ -32,6 +32,7 @@ from avgcut import (
 from avgcut import dendro
 from avgcut.dendro import Partition, _label_key, _label_keys
 from avgcut.errors import (
+    AvgCutError,
     InvalidCutError,
     LinkageError,
     LinkageIndexError,
@@ -47,6 +48,7 @@ from .helpers import (
     edge_set_by_children,
     figure_max_cut_children,
     is_valid_cut_by_children,
+    parse_linkage_csv_reference,
     random_linkage_csv,
     reach_by_children,
 )
@@ -352,6 +354,64 @@ class TestLinkageCsvRoundTrip:
         assert heights == [m.height for m in table.merges]
         for scheme in ("gap", "height"):
             assert linkage_to_tree(parsed, scheme) == linkage_to_tree(table, scheme)
+
+
+@st.composite
+def perturbed_linkage_csv_texts(draw):
+    """A ``linkage_csv_texts()`` text whose rows end in any mix of ``\\n``,
+    ``\\r\\n`` and ``\\r``, with perhaps some cells quoted, around a
+    comma or a line break too, and some characters inserted anywhere."""
+    _, text = draw(linkage_csv_texts())
+    rows = [line.split(",") for line in text.split("\n")[:-1]]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = '"' + row[k] + draw(st.sampled_from(["", ",", "\n", "\r\n"])) + '"'
+    text = "".join(
+        ",".join(row) + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(['"', "\n", "\r", ",", "x", " "])) + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except AvgCutError as err:
+        return type(err), str(err)
+
+
+class TestAgainstTheCsvModule:
+    """``parse_linkage_csv`` against ``parse_linkage_csv_reference``, which
+    reads rows through ``csv.reader``: a table the first returns is the
+    table the second returns, and on a text without a ``"`` the two give
+    the same table or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_linkage_csv_texts())
+    def test_no_text_is_read_as_a_different_table(self, text):
+        ours = _outcome(parse_linkage_csv, text)
+        reference = _outcome(parse_linkage_csv_reference, text)
+        if isinstance(ours, LinkageTable):
+            assert ours == reference
+        if '"' not in text:
+            assert ours == reference
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('left,right,height,size\n"0",1,1,2\n', 2),
+            ('left,right,height,size\n0,1,"1\n",2\n', 2),
+            ('"left",right,height,size\n0,1,1,2\n', 1),
+        ],
+    )
+    def test_a_quoted_text_is_an_error_the_csv_module_read(self, text, line):
+        assert isinstance(parse_linkage_csv_reference(text), LinkageTable)
+        with pytest.raises(ParseError) as exc:
+            parse_linkage_csv(text)
+        assert exc.value.line == line
 
 
 class TestCommunities:

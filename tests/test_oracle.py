@@ -526,6 +526,12 @@ class TestParallelWalk:
         assert not thread.is_alive()
         assert result == brute_force_reference(figure_tree)
 
+    def test_one_process_where_fork_is_missing(self, figure_tree, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with _forced_workers():
+            result = brute_force_optimum(figure_tree)
+        assert result == brute_force_reference(figure_tree)
+
     @pytest.mark.parametrize("cpus", [1, 3])
     @settings(max_examples=100, deadline=None)
     @given(t=tie_heavy_trees(), objective=st.sampled_from(list(Objective)))

@@ -15,6 +15,7 @@ from avgcut.errors import (
     MalformedWeightError,
     NegativeWeightError,
     NotATreeError,
+    TreeError,
     ZeroWeightWarning,
 )
 from avgcut.tree import _assemble
@@ -164,6 +165,11 @@ class TestQueries:
         t = figure_tree
         got = {t.labels[v] for v in t.subtree_leaves(t.node_id("a1"))}
         assert got == {f"c1{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)}
+
+    def test_the_root_has_no_tail(self):
+        t = path_tree(1, 2)
+        with pytest.raises(TreeError, match="the root has no in-edge"):
+            t.tail(t.root)
 
     def test_node_id_on_a_tree_built_by_its_constructor(self):
         t = RootedTree(
