@@ -2,10 +2,10 @@
 
 The answer returned is the out-edge boundary of the root's supernode after
 repeatedly contracting the live internal edge whose contractibility most
-exceeds (Maximize) or most undercuts (Minimize) the current root average,
-stopping as soon as no live edge strictly beats it. An edge's
-contractibility is the average weight its head's out-edges would add to a
-cut that swapped the edge for them: (out_sum - weight) / (out_degree - 1).
+exceeds the current root average, stopping as soon as none strictly exceeds
+it; Minimize runs as Maximize over the weights, negated as they come in. An
+edge's contractibility is the average weight its head's out-edges would add
+to a cut that swapped the edge for them: (out_sum - weight) / (out_degree - 1).
 
 Every comparison is exact. Each supernode keeps its in-edge weight less
 the total weight of its live out-edges, minus the numerator of its
@@ -21,7 +21,7 @@ once, from the tree alone. A plain run scales every weight to the int
 ``weight * D``, so every ``_den`` is ``D`` and a merge adds bare ints with
 nothing to cancel. Its finite
 contractibilities are ``a / (D * b)`` with int ``a`` and ``1 <= b < n``, and
-the queue keys each by the int ``floor(a * n**2 / b)`` (oriented): two
+the queue keys each by the int ``floor(-a * n**2 / b)`` (negated): two
 distinct values ``a / b`` and ``a' / b'`` differ by at least ``1 / (b *
 b')``, more than ``1 / n**2``, so their keys differ by at least one and the
 floor is injective and monotone at any weight magnitude. Equal keys mean
@@ -59,7 +59,7 @@ _FLOAT_MAX = sys.float_info.max
 
 
 class Objective(Enum):
-    """Optimization direction; MINIMIZE reverses every comparison."""
+    """Optimization direction; MINIMIZE is MAXIMIZE over negated weights."""
 
     MAXIMIZE = "max"
     MINIMIZE = "min"
@@ -144,15 +144,13 @@ POSITIVE_INFINITY = Contractibility(1, 0)
 NEGATIVE_INFINITY = Contractibility(-1, 0)
 
 
-def _contractibility(num: int, den: int, maximize: bool) -> Contractibility:
-    """The contractibility ``num / den``. At ``den == 0`` a zero ``num`` is
-    a neutral swap that is never taken: it maps to the never-contract side
-    of the objective, which also guarantees termination."""
+def _contractibility(num: int, den: int, sign: int) -> Contractibility:
+    """``sign * num / den``, the reported value of a contractibility over
+    weights times ``sign``. A zero swap at ``den == 0`` is never taken: it
+    is ``-inf`` before the sign, which also guarantees termination."""
     if den:
-        return Contractibility(num, den)
-    if num > 0 or (num == 0 and not maximize):
-        return POSITIVE_INFINITY
-    return NEGATIVE_INFINITY
+        return Contractibility(sign * num, den)
+    return POSITIVE_INFINITY if (num > 0) is (sign > 0) else NEGATIVE_INFINITY
 
 
 class ContractionStep(NamedTuple):
@@ -183,7 +181,7 @@ class CutResult:
 
 
 def _heap_key(num_o: int, den_o: int) -> tuple[float, Contractibility | None]:
-    """Heap key ``(float, tiebreak)`` of the oriented contractibility
+    """Heap key ``(float, tiebreak)`` of the negated contractibility
     ``num_o / den_o``; ``den_o == 0`` is an infinity (``-inf`` when
     ``num_o < 0``, else ``+inf``) and carries no tiebreak.
 
@@ -218,11 +216,9 @@ class ContractionState:
     def __init__(self, tree: RootedTree, objective: Objective = Objective.MAXIMIZE):
         self.tree = tree
         self.objective = objective
-        self._maximize = objective is Objective.MAXIMIZE
-        # Heap keys use the value oriented so that the min-heap pops the best
-        # edge first: negated under MAXIMIZE. _num holds a negated numerator,
-        # so the key is _sign * _num.
-        self._sign = 1 if self._maximize else -1
+        # Minimize is Maximize over the negated weights; _sign turns the
+        # values the queries report back.
+        self._sign = 1 if objective is Objective.MAXIMIZE else -1
         n = tree.node_count
         root = tree.root
 
@@ -232,6 +228,8 @@ class ContractionState:
         if plain and scale != 1:
             wn = tree.scaled_weights[1]
             wd = (scale,) * n
+        if self._sign < 0:
+            wn = [-w for w in wn]
         self._wd = wd
 
         # Each supernode's union-find root is its topmost node; path halving
@@ -267,12 +265,11 @@ class ContractionState:
 
         self._gen = [0] * n
         # Heap entries are (key, tiebreak, edge, generation), keyed by e's
-        # contractibility -_num[e] / (_den[e] * b), b = _cnt[e] - 1. A plain
-        # run keys a finite value by the exact int floor(_sign * _num[e] *
-        # n**2 / b) (see the module docstring) with the tiebreak 0, and
-        # builds no Contractibility.
+        # contractibility -_num[e] / (_den[e] * b), b = _cnt[e] - 1, so the
+        # key is _num[e] / (_den[e] * b). A plain run keys a finite value by
+        # the exact int floor(_num[e] * n**2 / b) (see the module docstring)
+        # with the tiebreak 0, and builds no Contractibility.
         self._nn = nn = n * n
-        sign = self._sign
         heap = []
         append = heap.append
         for e in compress(range(n), cnts):
@@ -280,17 +277,17 @@ class ContractionState:
                 continue
             b = cnts[e] - 1
             if plain and b:
-                append((sign * nums[e] * nn // b, 0, e, 0))
+                append((nums[e] * nn // b, 0, e, 0))
             else:
-                key, tie = _heap_key(sign * nums[e], dens[e] * b)
+                key, tie = _heap_key(nums[e], dens[e] * b)
                 append((key, tie, e, 0))
         heapq.heapify(heap)
         self._heap = heap
 
         # The one log of the run: (edge, num_e, lam_den, alpha_num,
-        # alpha_den, merged_root), in _num's sign: the edge's contractibility
-        # is -num_e / lam_den and the root average after it -alpha_num /
-        # alpha_den; lam_den == 0 encodes the infinities.
+        # alpha_den, merged_root), in _num's sign over the weights as run:
+        # the edge's contractibility is -num_e / lam_den and the root average
+        # after it -alpha_num / alpha_den; lam_den == 0 encodes the infinities.
         self._steps: list[tuple[int, int, int, int, int, bool]] = []
 
     # --- union-find ---------------------------------------------------- #
@@ -311,7 +308,7 @@ class ContractionState:
     @property
     def root_average(self) -> Fraction:
         root = self.tree.root
-        return Fraction(-self._num[root], self._den[root] * self._cnt[root])
+        return Fraction(-self._sign * self._num[root], self._den[root] * self._cnt[root])
 
     def contractibility(self, e: EdgeId) -> Contractibility:
         """Contractibility of live edge ``e`` under the current partition."""
@@ -320,7 +317,7 @@ class ContractionState:
             raise DeadEdgeError(f"edge {e} was already contracted")
         if self._cnt[e] == 0:
             raise LeafHeadError(f"edge {e} ends in a leaf and has no contractibility")
-        return _contractibility(-self._num[e], self._den[e] * (self._cnt[e] - 1), self._maximize)
+        return _contractibility(-self._num[e], self._den[e] * (self._cnt[e] - 1), self._sign)
 
     def cut_edges(self) -> frozenset[EdgeId]:
         """Live out-edge boundary of the root supernode, as original edges.
@@ -343,8 +340,8 @@ class ContractionState:
         return [
             ContractionStep(
                 edge,
-                _contractibility(-num_e, lam_den, self._maximize),
-                Fraction(-alpha_num, alpha_den),
+                _contractibility(-num_e, lam_den, self._sign),
+                Fraction(-self._sign * alpha_num, alpha_den),
                 merged,
             )
             for edge, num_e, lam_den, alpha_num, alpha_den, merged in self._steps
@@ -378,7 +375,7 @@ class ContractionState:
         written out here."""
         heap, uf, gen, steps, parent = self._heap, self._uf, self._gen, self._steps, self.tree.parent
         nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
-        plain, maximize, sign, nn = self._plain, self._maximize, self._sign, self._nn
+        plain, nn = self._plain, self._nn
         heappop, heappush = heapq.heappop, heapq.heappush
         root = self.tree.root
         # The root average is -alpha_num / alpha_den.
@@ -397,18 +394,12 @@ class ContractionState:
             num_e = nums[e]
             b = cnts[e] - 1
             lam_den = d * b
-            if forced is None:
-                # Stop unless the value strictly beats the root average; of
-                # the infinities only the oriented -inf does.
-                if b:
-                    lhs = num_e * alpha_den
-                    rhs = alpha_num * lam_den
-                    beats = lhs < rhs if maximize else lhs > rhs
-                else:
-                    beats = sign * num_e < 0
-                if not beats:
-                    heappush(heap, entry)  # keep the queue complete
-                    return
+            # Stop unless the value strictly exceeds the root average; at
+            # lam_den == 0 this reads num_e >= 0, so of the infinities only
+            # +inf is taken.
+            if forced is None and num_e * alpha_den >= alpha_num * lam_den:
+                heappush(heap, entry)  # keep the queue complete
+                return
             u = parent[e]
             while uf[u] != u:
                 uf[u] = uf[uf[u]]
@@ -443,12 +434,11 @@ class ContractionState:
                 # A new generation invalidates every queued entry for u's
                 # in-edge.
                 g = gen[u] = gen[u] + 1
-                u_num = sign * num
                 b = cnts[u] - 1
                 if plain and b:
-                    heappush(heap, (u_num * nn // b, 0, u, g))
+                    heappush(heap, (num * nn // b, 0, u, g))
                 else:
-                    heappush(heap, (*_heap_key(u_num, den * b), u, g))
+                    heappush(heap, (*_heap_key(num, den * b), u, g))
             else:
                 alpha_num, alpha_den = num, den * cnts[u]
             steps.append((e, num_e, lam_den, alpha_num, alpha_den, u == root))
@@ -457,7 +447,7 @@ class ContractionState:
 
     def result(self) -> CutResult:
         root = self.tree.root
-        total_num, total_den = -self._num[root], self._den[root]
+        total_num, total_den = -self._sign * self._num[root], self._den[root]
         size = self._cnt[root]
         return CutResult(
             cut=self.cut_edges(),

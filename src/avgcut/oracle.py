@@ -18,7 +18,8 @@ CPU, each sending back only its best average. It forks only where
 ``_FORK_MIN_CUTS`` cuts; otherwise the same walker takes every sub-space in
 this process. One last pass at the best average derives the optimal cut
 whose internal subtree has the fewest nodes (see ``_least_cut``), so the
-answer does not depend on the split.
+answer does not depend on the split. Minimize runs as Maximize over the
+negated weights, so the walk and that pass seek only the largest average.
 Everything else here favors being obviously correct over being fast; the
 module exists to check the contraction engine, not to replace it.
 """
@@ -85,16 +86,17 @@ def _node_counts(t: RootedTree) -> list[int]:
 class _Prep:
     """Shared precomputation for the cut enumeration. ``w``, ``leaf_sum``,
     ``leaf_count`` and ``leaf_edges`` are indexed by position in ``order``:
-    a node's scaled weight, and the scaled total, number and ids of its leaf
-    out-edges; ``base`` holds the root's total and number, and
-    ``root_leaves`` its leaf out-edges."""
+    a node's scaled weight times ``sign``, and the total of those, the
+    number and the ids of its leaf out-edges; ``base`` holds the root's
+    total and number, and ``root_leaves`` its leaf out-edges."""
 
     __slots__ = ("scale", "root", "root_leaves", "leaf_edges", "order", "skip_to", "w",
                  "leaf_sum", "leaf_count", "base")
 
-    def __init__(self, t: RootedTree):
+    def __init__(self, t: RootedTree, sign: int = 1):
         n = t.node_count
         self.scale, w = t.scaled_weights
+        w = [sign * x for x in w]
         self.root = t.root
         leaf_edges = [
             [c for c in t.children[v] if not t.children[c]] for v in range(n)
@@ -261,17 +263,17 @@ def brute_force_optimum(
     counts = _node_counts(t)
     cuts = counts[t.root]
     _check_limit(cuts, limit)
-    prep = _Prep(t)
-    maximize = objective is Objective.MAXIMIZE
+    sign = 1 if objective is Objective.MAXIMIZE else -1
+    prep = _Prep(t, sign)
     shares = _split(prep, counts, _workers(cuts))
-    best_total, best_size = _walk_shares(prep, shares, maximize)
+    best_total, best_size = _walk_shares(prep, shares)
     # The derived cut's total and size; the walk's winner may be a tied cut.
-    cut = _least_cut(prep, best_total, best_size, maximize)
+    cut = _least_cut(prep, best_total, best_size)
     return CutResult(
         cut=frozenset(cut),
-        total=Fraction(best_total * len(cut), best_size * prep.scale),
+        total=Fraction(sign * best_total * len(cut), best_size * prep.scale),
         size=len(cut),
-        average=Fraction(best_total, best_size * prep.scale),
+        average=Fraction(sign * best_total, best_size * prep.scale),
         contractions=(),
         cut_count=cuts,
     )
@@ -349,7 +351,7 @@ def _subspace_cuts(prep: _Prep, counts: list[int], q: int) -> int:
     return n
 
 
-def _walk_shares(prep: _Prep, shares: list[list[bytes]], maximize: bool) -> tuple[int, int]:
+def _walk_shares(prep: _Prep, shares: list[list[bytes]]) -> tuple[int, int]:
     """A ``(scaled total, size)`` at the best average over every share.
 
     The first share is walked here and each other one in a forked child,
@@ -375,10 +377,10 @@ def _walk_shares(prep: _Prep, shares: list[list[bytes]], maximize: bool) -> tupl
                 mine.extend(share)
                 continue
             if pid == 0:
-                _child(prep, share, maximize, r, w)
+                _child(prep, share, r, w)
             children.append((pid, r, share))
             os.close(w)
-        bests.append(_best(prep, mine, maximize))
+        bests.append(_best(prep, mine))
         while children:
             pid, r, share = children[-1]
             chunks = []
@@ -390,7 +392,7 @@ def _walk_shares(prep: _Prep, shares: list[list[bytes]], maximize: bool) -> tupl
             if status == 0 and chunks:
                 bests.append(marshal.loads(b"".join(chunks)))
             else:
-                bests.append(_best(prep, share, maximize))
+                bests.append(_best(prep, share))
     finally:
         # Only on an exception: stop and reap the children still running.
         if children:
@@ -404,17 +406,17 @@ def _walk_shares(prep: _Prep, shares: list[list[bytes]], maximize: bool) -> tupl
                 with suppress(OSError):
                     os.waitpid(pid, 0)
 
-    return (max if maximize else min)(bests, key=lambda best: Fraction(*best))
+    return max(bests, key=lambda best: Fraction(*best))
 
 
-def _child(prep: _Prep, share: list[bytes], maximize: bool, r: int, w: int) -> None:
+def _child(prep: _Prep, share: list[bytes], r: int, w: int) -> None:
     """Walk ``share`` in a forked child, write its best to ``w`` and leave
     through ``os._exit``, so that nothing of the parent's runs here: no
     ``finally`` above this frame, no exit handler, no buffered output."""
     code = 1
     try:
         os.close(r)
-        data = memoryview(marshal.dumps(_best(prep, share, maximize)))
+        data = memoryview(marshal.dumps(_best(prep, share)))
         while data:
             data = data[os.write(w, data):]
         code = 0
@@ -422,7 +424,7 @@ def _child(prep: _Prep, share: list[bytes], maximize: bool, r: int, w: int) -> N
         os._exit(code)
 
 
-def _best(prep: _Prep, prefixes: list[bytes], maximize: bool) -> tuple[int, int]:
+def _best(prep: _Prep, prefixes: list[bytes]) -> tuple[int, int]:
     """The ``(scaled total, size)`` of the first cut found at the best
     average over the cuts of the sub-spaces ``prefixes`` (see ``_split``).
 
@@ -433,8 +435,8 @@ def _best(prep: _Prep, prefixes: list[bytes], maximize: bool) -> tuple[int, int]
     w, leaf_sum, leaf_count, skip_to = prep.w, prep.leaf_sum, prep.leaf_count, prep.skip_to
     m = len(skip_to)
 
-    # Average -1 (maximize) or +infinity (minimize): the first cut beats it.
-    best_total, best_size = (-1, 1) if maximize else (1, 0)
+    # Average -infinity: the first cut beats it, however negative.
+    best_total, best_size = -1, 0
     for prefix in prefixes:
         total, size = prep.base
         pos = 0
@@ -456,8 +458,7 @@ def _best(prep: _Prep, prefixes: list[bytes], maximize: bool) -> tuple[int, int]
                 positions.append(pos)
                 pos = skip_to[pos]
 
-            lhs, rhs = total * best_size, best_total * size
-            if lhs > rhs if maximize else lhs < rhs:
+            if total * best_size > best_total * size:
                 best_total, best_size = total, size
 
             while positions and expanded[positions[-1]]:
@@ -475,24 +476,23 @@ def _best(prep: _Prep, prefixes: list[bytes], maximize: bool) -> tuple[int, int]
     return best_total, best_size
 
 
-def _least_cut(prep: _Prep, total: int, size: int, maximize: bool) -> list[EdgeId]:
-    """The optimal cut whose internal subtree has the fewest nodes, at the
-    optimal average ``total / size`` of scaled weights.
+def _least_cut(prep: _Prep, total: int, size: int) -> list[EdgeId]:
+    """The cut of largest average whose internal subtree has the fewest
+    nodes, at that average ``total / size`` of ``prep``'s weights.
 
-    With ``x = w * size - total`` per edge (negated to minimize), every
-    cut's ``x`` sum is at most 0, and 0 exactly on the optimal cuts
-    (Dinkelbach, 1967). Bottom-up, a node's ``g`` is the larger of its
-    edge's ``x`` and its out-edges' ``g`` sum; expanding only on a strictly
-    larger sum keeps the optimal subtree that lies inside all the others.
+    With ``x = w * size - total`` per edge, every cut's ``x`` sum is at
+    most 0, and 0 exactly on the optimal cuts (Dinkelbach, 1967).
+    Bottom-up, a node's ``g`` is the larger of its edge's ``x`` and its
+    out-edges' ``g`` sum; expanding only on a strictly larger sum keeps the
+    optimal subtree that lies inside all the others.
     """
-    a, b = (size, total) if maximize else (-size, -total)
     w, leaf_sum, leaf_count, skip_to = prep.w, prep.leaf_sum, prep.leaf_count, prep.skip_to
     m = len(skip_to)
     g = [0] * m
     expanded = bytearray(m)
     for p in range(m - 1, -1, -1):  # reverse preorder: children first
-        x = w[p] * a - b
-        out = leaf_sum[p] * a - leaf_count[p] * b
+        x = w[p] * size - total
+        out = leaf_sum[p] * size - leaf_count[p] * total
         q = p + 1
         while q < skip_to[p]:  # the internal children of position p
             out += g[q]

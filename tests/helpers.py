@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import random
 import sys
@@ -299,6 +300,91 @@ def prime_denominator_path(n_edges: int) -> RootedTree:
         q = primes[i // 2] if i % 2 else 1
         rows.append((f"v{i - 1}", f"v{i}", Fraction(i * q + 1 if i % 2 else i, q)))
     return quiet_tree(rows)
+
+
+WEIGHT_KINDS = ("int", "hundredths", "primes")
+
+
+def random_weighted_rows(
+    rng: random.Random, n_nodes: int, kind: str
+) -> list[tuple[str, str, Fraction]]:
+    """The rows of a random tree of ``n_nodes`` nodes, shuffled, shaped as in
+    ``random_tree``, with weights of one of ``WEIGHT_KINDS``:
+
+    - ``int``: 0 to 9, so ties abound; the engine's run is plain;
+    - ``hundredths``: 0.00 to 9.99, plain over the scale 100;
+    - ``primes``: ``p / q`` with ``q`` from ``n_nodes // 20 + 1`` pairwise
+      distinct primes, each shared by about 20 edges as in the
+      ``newick-rational`` benchmark, so the weights' lcm passes the plain
+      scale and the run is general.
+    """
+    chain_bias = rng.random() * 0.8
+    primes = _primes_from(2, n_nodes // 20 + 1)
+    rows = []
+    for i in range(1, n_nodes):
+        parent = i - 1 if rng.random() < chain_bias else rng.randrange(i)
+        if kind == "int":
+            weight = Fraction(rng.randrange(10))
+        elif kind == "hundredths":
+            weight = Fraction(rng.randrange(1000), 100)
+        else:
+            q = rng.choice(primes)
+            weight = Fraction(rng.randrange(1, 8 * q), q)
+        rows.append((f"n{parent}", f"n{i}", weight))
+    rng.shuffle(rows)
+    return rows
+
+
+def parametric_best(
+    t: RootedTree, alpha: Fraction, maximize: bool = True
+) -> tuple[Fraction, frozenset[int]]:
+    """Dinkelbach's parametric pass ("On nonlinear fractional programming",
+    Management Science 13(7), 1967) at ``alpha``: the best sum of ``w_e -
+    alpha`` over all boundary cuts, and the cut of the strict-expand subtree.
+
+    Bottom-up, an edge's ``g`` is the better of its own ``w_e - alpha`` and,
+    when its head has out-edges, the sum of their ``g``; the best sum is the
+    root's out-edges' ``g`` sum. Every cut's sum is at most (to minimize, at
+    least) the best, and at the optimal average the best is exactly 0, on
+    the optimal cuts alone. Expanding a head only on a strictly better sum
+    gives the optimal subtree with the fewest nodes. It reads only
+    ``parent``, ``wnum`` and ``wden``, and counts in ints over one common
+    denominator, with the sign flipped to minimize.
+    """
+    parent, wnum, wden = t.parent, t.wnum, t.wden
+    n = len(parent)
+    sign = 1 if maximize else -1
+    scale = math.lcm(alpha.denominator, *wden)
+    offset = alpha.numerator * (scale // alpha.denominator)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p is None:
+            root = v
+        else:
+            children[p].append(v)
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    g = [0] * n
+    expand = [False] * n
+    for v in reversed(order):
+        x = sign * (wnum[v] * (scale // wden[v]) - offset)
+        if children[v]:
+            out = sum(g[c] for c in children[v])
+            expand[v] = out > x
+            g[v] = max(out, x)
+        else:
+            g[v] = x
+    best = sum(g[c] for c in children[root])
+    cut = set()
+    stack = [root]
+    while stack:
+        for c in children[stack.pop()]:
+            if expand[c]:
+                stack.append(c)
+            else:
+                cut.add(c)
+    return Fraction(sign * best, scale), frozenset(cut)
 
 
 def cut_edges_by_walk(state: ContractionState) -> frozenset[int]:

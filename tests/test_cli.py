@@ -612,6 +612,23 @@ class TestConsoleScriptSteps:
         assert code == 0 and average in out
         assert lines_with(out, "trace")[0] == first_trace
 
+    def test_min_on_a_tree_is_max_on_its_reflection(self, capsys, tmp_path):
+        rows = [("r", "a", 7), ("a", "b", 1), ("b", "c", 1), ("b", "d", 2),
+                ("r", "e", 3), ("e", "f", 3), ("e", "g", 3), ("r", "h", 6)]
+        text = "".join(f"{p} {c} {w}\n" for p, c, w in rows)
+        reflected = "".join(f"{p} {c} {7 - w}\n" for p, c, w in rows)
+        argv = ("cut", "--trace", "--objective")
+        code, low, _ = run_on(capsys, tmp_path, text, *argv, "min", "--input")
+        assert code == 0 and "average: 3" in low
+        code, high, _ = run_on(capsys, tmp_path, reflected, *argv, "max", "--input")
+        assert code == 0 and "average: 4" in high
+
+        def edges(lines):
+            return [line.rsplit(" ", 1)[0] for line in lines_with(lines, "cut", "trace")]
+
+        assert len(lines_with(low, "trace")) == 2
+        assert edges(low) == edges(high)
+
     def test_linkage_csv_and_newick_cut_count(self, capsys, tmp_path):
         code, out, _ = run_on(capsys, tmp_path, TINY_LINKAGE, "cluster", "--linkage")
         assert code == 0 and "community: 0 1" in out

@@ -12,6 +12,7 @@ from avgcut import (
     ContractionState,
     ContractionStep,
     Objective,
+    brute_force_optimum,
     evaluate_cut,
     is_valid_cut,
     linkage_to_tree,
@@ -24,6 +25,7 @@ from avgcut.errors import DeadEdgeError, EmptyCutError, LeafHeadError
 from avgcut.io import edge_rows
 
 from .helpers import (
+    WEIGHT_KINDS,
     cut_edges_by_walk,
     edge_set_by_children,
     figure_max_cut_children,
@@ -36,6 +38,7 @@ from .helpers import (
     quiet_tree,
     random_linkage_csv,
     random_tree,
+    random_weighted_rows,
     root_average_history,
     src_line_count,
     star_tree,
@@ -349,6 +352,51 @@ class TestDistinctPrimeDenominatorsAtScale:
         assert result.average == t.weights[last]
         assert len(result.contractions) == 2 * 10**4 - 1
         assert all(step.merged_into_root for step in state.steps())
+
+
+def _reflected_pair(rows):
+    """The tree of ``rows``, its reflection, every weight ``w`` replaced by
+    ``C - w``, and ``C``, the largest weight. Both trees come from rows in
+    one order, so they share their ids."""
+    top = max(w for _, _, w in rows)
+    return quiet_tree(rows), quiet_tree([(p, c, top - w) for p, c, w in rows]), top
+
+
+class TestReflection:
+    """Minimize on a tree is Maximize on its reflection: the same cut and
+    contractions, the average ``C - a``, and per step the contractibility
+    ``C - c`` (``+inf`` and ``-inf`` swapped), the root average ``C -
+    alpha`` and the same ``merged_into_root``."""
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    @pytest.mark.parametrize("n_nodes", [1_000, 10_000])
+    def test_engine(self, kind, n_nodes):
+        rows = random_weighted_rows(random.Random(f"reflect:{kind}:{n_nodes}"), n_nodes, kind)
+        t, mirror, top = _reflected_pair(rows)
+        assert ContractionState(t)._plain is ContractionState(mirror)._plain is (kind != "primes")
+        low = run_contraction(t, Objective.MINIMIZE)
+        high = run_contraction(mirror, Objective.MAXIMIZE)
+        low_result, high_result = low.result(), high.result()
+        assert high_result.cut == low_result.cut
+        assert high_result.contractions == low_result.contractions
+        assert high_result.average == top - low_result.average
+        for a, b in zip(low.steps(), high.steps()):
+            if a.contractibility.is_finite:
+                assert b.contractibility == top - a.contractibility.value
+            else:
+                swapped = POSITIVE_INFINITY if a.contractibility is NEGATIVE_INFINITY else NEGATIVE_INFINITY
+                assert b.contractibility is swapped
+            assert b.root_average_after == top - a.root_average_after
+            assert b.merged_into_root == a.merged_into_root
+
+    def test_brute_force(self):
+        rng = random.Random(11)
+        for kind in WEIGHT_KINDS:
+            for _ in range(40):
+                t, mirror, top = _reflected_pair(random_weighted_rows(rng, rng.randint(2, 30), kind))
+                low = brute_force_optimum(t, Objective.MINIMIZE)
+                high = brute_force_optimum(mirror, Objective.MAXIMIZE)
+                assert high.cut == low.cut and high.average == top - low.average
 
 
 def _path_rows(n, increasing):

@@ -371,10 +371,10 @@ class TestSubSpaces:
         for prefix, size in zip(prefixes, sizes):
             assert len(members[prefix]) == size
             for objective in Objective:
-                maximize = objective is Objective.MAXIMIZE
-                assert oracle._best(prep, [prefix], maximize) == _best_of(
-                    t, prep, members[prefix], objective
-                )
+                sign = 1 if objective is Objective.MAXIMIZE else -1
+                best_total, best_size = oracle._best(oracle._Prep(t, sign), [prefix])
+                expected = _best_of(t, prep, members[prefix], objective)
+                assert (sign * best_total, best_size) == expected
 
     def test_one_worker_walks_the_whole_space(self, figure_tree):
         prep = oracle._Prep(figure_tree)
