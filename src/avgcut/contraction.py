@@ -19,23 +19,27 @@ A run is *plain* when the lcm ``D`` of all weight denominators is at most
 ``rational.PLAIN_SCALE``, as ``rational.plain_scale`` finds; it is decided
 once, from the tree alone. A plain run scales every weight to the int
 ``weight * D``, so every ``_den`` is ``D`` and a merge adds bare ints with
-nothing to cancel. Its finite
-contractibilities are ``a / (D * b)`` with int ``a`` and ``1 <= b < n``, and
-the queue keys each by the int ``floor(-a * n**2 / b)`` (negated): two
-distinct values ``a / b`` and ``a' / b'`` differ by at least ``1 / (b *
-b')``, more than ``1 / n**2``, so their keys differ by at least one and the
-floor is injective and monotone at any weight magnitude. Equal keys mean
-equal values, and a plain run's tiebreak is the constant 0, which hands
-every tie to the edge id. Every other run keys by the correctly rounded
-float of the exact value, which is monotone, and breaks equal floats with
-the exact value, a ``Contractibility``: an unreduced ``(num, den)`` pair
-ordered by cross multiplication, the same type the engine reports. Either
-way the queue pops in (exact value, edge id) order. Infinite
-contractibilities key as float infinities and carry no pair at all. The
-stop test never reads the key: it compares the popped edge's exact pair
-with the root average. Plain and general runs, and the public ``contract``
-and ``run``, take one contraction step; on a plain run its merge adds bare
-ints over the one denominator and cancels nothing.
+nothing to cancel. Its finite contractibilities are ``a / (D * b)`` with
+int ``a`` and ``1 <= b < n``, and the queue keys each by the int
+``floor(-a * n**2 / b)`` (negated): two distinct values ``a / b`` and ``a'
+/ b'`` differ by at least ``1 / (b * b')``, more than ``1 / n**2``, so
+their keys differ by at least one and the floor is injective and monotone
+at any weight magnitude. Its infinities ``+inf`` and ``-inf`` key as
+``-(S * n**2 + 1)`` and ``S * n**2 + 1``, with ``S`` the sum of the scaled
+weights' magnitudes: no ``|a|`` exceeds ``S``, so they lie past every
+finite key. Each queue entry is the one int ``key * n + e``, which orders
+by key and then by edge id. Every other run queues ``(float, tiebreak,
+e)``: the correctly rounded float of the exact value, which is monotone,
+and for equal floats the exact value, a ``Contractibility``: an unreduced
+``(num, den)`` pair ordered by cross multiplication, the same type the
+engine reports. Its infinities key as float infinities and carry no pair.
+Either way the queue pops in (exact value, edge id) order. An entry is
+fresh exactly when it is the one last queued for its edge; a contraction
+or a requeue leaves the others in the queue, stale, to be skipped when
+popped. The stop test never reads the key: it compares the popped edge's
+exact pair with the root average. Plain and general runs, and the public
+``contract`` and ``run``, take one contraction step; on a plain run its
+merge adds bare ints over the one denominator and cancels nothing.
 """
 
 from __future__ import annotations
@@ -263,26 +267,30 @@ class ContractionState:
                 nums[p] -= w if q == d else w * (d // q)
                 cnts[p] += 1
 
-        self._gen = [0] * n
-        # Heap entries are (key, tiebreak, edge, generation), keyed by e's
-        # contractibility -_num[e] / (_den[e] * b), b = _cnt[e] - 1, so the
-        # key is _num[e] / (_den[e] * b). A plain run keys a finite value by
-        # the exact int floor(_num[e] * n**2 / b) (see the module docstring)
-        # with the tiebreak 0, and builds no Contractibility.
+        # Queue entries are keyed by e's contractibility -_num[e] / (_den[e] *
+        # b), b = _cnt[e] - 1, so by _num[e] / (_den[e] * b). A plain run's
+        # entry is the int key * n + e, with the exact int key floor(_num[e] *
+        # n**2 / b) (see the module docstring), or at b == 0 -_inf for +inf
+        # and _inf for -inf, past every finite key because no |_num| exceeds
+        # the weights' magnitudes' sum; it builds no Contractibility. Any
+        # other run's entry is (float, tiebreak, e). _cur[e] is the entry last
+        # queued for e: an entry is fresh exactly when it is _cur[e], and a
+        # contraction sets _cur[e] to None.
         self._nn = nn = n * n
-        heap = []
-        append = heap.append
+        self._inf = inf = sum(map(abs, wn)) * nn + 1 if plain else None
+        self._cur = cur = [None] * n
         for e in compress(range(n), cnts):
             if e == root:
                 continue
             b = cnts[e] - 1
-            if plain and b:
-                append((nums[e] * nn // b, 0, e, 0))
+            if plain:
+                key = nums[e] * nn // b if b else (-inf if nums[e] < 0 else inf)
+                cur[e] = key * n + e
             else:
                 key, tie = _heap_key(nums[e], dens[e] * b)
-                append((key, tie, e, 0))
+                cur[e] = (key, tie, e)
+        self._heap = heap = [entry for entry in cur if entry is not None]
         heapq.heapify(heap)
-        self._heap = heap
 
         # The one log of the run: (edge, num_e, lam_den, alpha_num,
         # alpha_den, merged_root), in _num's sign over the weights as run:
@@ -373,9 +381,9 @@ class ContractionState:
         once; or, at None, pop the best fresh queue entry and contract it,
         until one does not strictly beat the root average. :meth:`_find` is
         written out here."""
-        heap, uf, gen, steps, parent = self._heap, self._uf, self._gen, self._steps, self.tree.parent
+        heap, uf, cur, steps, parent = self._heap, self._uf, self._cur, self._steps, self.tree.parent
         nums, dens, cnts, wd = self._num, self._den, self._cnt, self._wd
-        plain, nn = self._plain, self._nn
+        plain, nn, inf, n = self._plain, self._nn, self._inf, len(parent)
         heappop, heappush = heapq.heappop, heapq.heappush
         root = self.tree.root
         # The root average is -alpha_num / alpha_den.
@@ -386,8 +394,8 @@ class ContractionState:
                 if not heap:
                     return
                 entry = heappop(heap)
-                e = entry[2]
-                if uf[e] != e or entry[3] != gen[e]:
+                e = entry % n if plain else entry[2]
+                if entry is not cur[e]:
                     continue  # stale: contracted, or requeued since
             # e's contractibility is -num_e / lam_den.
             d = dens[e]
@@ -426,19 +434,21 @@ class ContractionState:
                     num //= g
                     den //= g
             uf[e] = u
+            cur[e] = None
             nums[u] = num
             dens[u] = den
             cnts[u] += b
 
             if u != root:
-                # A new generation invalidates every queued entry for u's
-                # in-edge.
-                g = gen[u] = gen[u] + 1
+                # The new entry becomes _cur[u], which leaves every entry
+                # queued before it for u's in-edge stale.
                 b = cnts[u] - 1
-                if plain and b:
-                    heappush(heap, (num * nn // b, 0, u, g))
+                if plain:
+                    key = num * nn // b if b else (-inf if num < 0 else inf)
+                    cur[u] = entry = key * n + u
                 else:
-                    heappush(heap, (*_heap_key(num, den * b), u, g))
+                    cur[u] = entry = (*_heap_key(num, den * b), u)
+                heappush(heap, entry)
             else:
                 alpha_num, alpha_den = num, den * cnts[u]
             steps.append((e, num_e, lam_den, alpha_num, alpha_den, u == root))

@@ -438,8 +438,12 @@ def root_average_history(state: ContractionState) -> list[Fraction]:
 
 def fresh_queue_edges(state: ContractionState) -> set[int]:
     """The edges with a fresh entry in the engine's queue, read from its
-    private heap, union-find and generations."""
-    return {e for *_, e, g in state._heap if state._uf[e] == e and g == state._gen[e]}
+    private heap and latest entries: a plain run's entry is the int ``key *
+    n + e``, any other run's the tuple ``(float, tiebreak, e)``, and an
+    entry is fresh when it is the one last queued for its edge."""
+    n = state.tree.node_count
+    edges = [entry % n if state._plain else entry[2] for entry in state._heap]
+    return {e for e, entry in zip(edges, state._heap) if entry is state._cur[e]}
 
 
 def edge_set_by_children(t: RootedTree, labels) -> frozenset[int]:

@@ -492,6 +492,19 @@ class TestLineCountGrowth:
             assert evaluate_cut(t, result.cut) == (result.total, result.size, result.average)
         assert lines[10_000] < 8 * lines[2_500], lines
 
+    @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+    def test_deep_shapes_grow_linearly(self, shape):
+        """The line-count twins of ``TestLinearGrowthOnDeepShapes``."""
+        lines = {}
+        for n in (2_500, 10_000):
+            t = quiet_tree(_DEEP_SHAPES[shape](n))
+            results, lines[n] = src_line_count(
+                lambda: [optimal_average_cut(t, objective) for objective in Objective]
+            )
+            for result in results:
+                assert evaluate_cut(t, result.cut) == (result.total, result.size, result.average)
+        assert lines[10_000] < 8 * lines[2_500], lines
+
 
 class TestEvaluateCut:
     def test_figure_output_cut(self, figure_tree):
@@ -785,6 +798,66 @@ class TestAgainstFractionReference:
         assert plain == {True, False}
         assert greedy_steps > 500
 
+    def test_run_skips_the_entry_a_forced_contraction_left_queued(self):
+        """``contract`` on the edge whose entry tops the queue leaves that
+        entry queued but stale; ``run`` then skips it when it pops it and
+        continues as the model does, on plain and on general runs."""
+        rng = random.Random(12)
+        trees = [random_tree(rng) for _ in range(40)]
+        trees += [_near_the_plain_scale(rng, random_tree(rng), 1) for _ in range(40)]
+        skipped = {True: 0, False: 0}
+        for t in trees:
+            for objective in Objective:
+                state = ContractionState(t, objective)
+                if not state._heap:
+                    continue
+                top = state._heap[0]
+                e = top % t.node_count if state._plain else top[2]
+                model = _FractionModel(t, objective)
+                state.contract(e)
+                model.contract(e)
+                assert any(entry is top for entry in state._heap)
+                assert e not in fresh_queue_edges(state)
+                state.run()
+                contractions, steps = _reference_run(t, objective, model)
+                assert state.contractions[1:] == contractions
+                assert state.steps()[1:] == steps
+                skipped[state._plain] += not any(entry is top for entry in state._heap)
+        assert min(skipped.values()) > 20, skipped
+
+    @pytest.mark.parametrize("factor", [10**24, 2**200])
+    def test_plain_keys_far_past_machine_ints(self, factor):
+        """Int weights times ``factor``, with out-degree-1 heads whose one
+        out-edge is heavier, lighter or as heavy as their in-edge: plain
+        runs whose keys lie far past ``2**63``, with both infinities, give
+        the unscaled tree's cut and contraction sequence."""
+        rng = random.Random(13)
+        gaps = set()
+        for _ in range(60):
+            n = rng.randint(3, 30)
+            rows = [(f"n{rng.randrange(i)}", f"n{i}", rng.randint(0, 9)) for i in range(1, n)]
+            for j in range(rng.randint(1, 4)):
+                w = rng.randint(1, 9)
+                below = w + rng.choice((-1, 0, 2))
+                gaps.add((below > w) - (below < w))
+                rows.append((f"n{rng.randrange(n)}", f"u{j}", w))
+                rows.append((f"u{j}", f"u{j}.0", below))
+                if rng.random() < 0.5:  # the head's one out-edge leads on
+                    rows += [(f"u{j}.0", f"u{j}.{k}", rng.randint(0, 9)) for k in (1, 2)]
+            rng.shuffle(rows)
+            base = quiet_tree(rows)
+            scaled = quiet_tree((tail, head, w * factor) for tail, head, w in rows)
+            state = ContractionState(scaled)
+            assert state._plain
+            assert max(map(abs, state._heap)) > 2**80
+            for objective in Objective:
+                expected = optimal_average_cut(base, objective)
+                result = optimal_average_cut(scaled, objective)
+                assert (result.cut, result.contractions) == (expected.cut, expected.contractions)
+                assert result.average == expected.average * factor
+            self._check(scaled)
+        assert gaps == {-1, 0, 1}
+
     def test_queries_after_every_contract(self):
         """Contract every internal edge, in random order, through the public
         ``contract``; straight after construction and after each call every
@@ -834,20 +907,21 @@ class _CountingContractibility(Contractibility):
 
 class TestPlainKeys:
     """On plain runs (the lcm of the weight denominators at most
-    ``rational.PLAIN_SCALE``) finite heap entries are ``(int, 0, edge,
-    generation)``; all other runs break equal floats with the exact
+    ``rational.PLAIN_SCALE``) every queue entry is the int ``key * n +
+    edge``, and entries pop in (exact value, edge id) order; all other runs
+    queue ``(float, tiebreak, edge)`` and break equal floats with the exact
     ``Contractibility``."""
 
     @staticmethod
     def _keying_builds(monkeypatch, t, objective):
         """Contractibilities built by ``ContractionState(t)`` and ``run()``,
-        and the finished state."""
+        the initial queue entries and the finished state."""
         monkeypatch.setattr(contraction, "Contractibility", _CountingContractibility)
         _CountingContractibility.built = 0
         state = ContractionState(t, objective)
         entries = list(state._heap)
         state.run()
-        return _CountingContractibility.built, entries + state._heap, state
+        return _CountingContractibility.built, entries, state
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_plain_runs_build_no_contractibility(self, monkeypatch, objective):
@@ -865,11 +939,11 @@ class TestPlainKeys:
             built, entries, state = self._keying_builds(monkeypatch, t, objective)
             assert state._plain and state.contractions
             assert built == 0
-            for key, tie, _, _ in entries:
-                if math.isinf(key):
-                    assert tie is None
-                else:
-                    assert type(key) is int and tie == 0
+            for entry in entries + state._heap:
+                assert type(entry) is int
+            model = _FractionModel(t, objective)
+            popped = [entry % t.node_count for entry in sorted(entries)]
+            assert popped == sorted(model.live, key=lambda e: (model.rank(e)[0], e))
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_other_runs_break_ties_with_exact_pairs(self, monkeypatch, objective):
@@ -885,7 +959,7 @@ class TestPlainKeys:
             built, entries, state = self._keying_builds(monkeypatch, t, objective)
             assert not state._plain
             assert built > 0
-            for key, tie, _, _ in entries:
+            for key, tie, _ in entries + state._heap:
                 if math.isinf(key):
                     assert tie is None
                 else:

@@ -368,7 +368,9 @@ def plain_heads(draw):
 
 class TestPlainKeys:
     """A plain run keys a finite contractibility ``a / b``, over the common
-    denominator, by the int ``floor(a * n**2 / b)`` alone."""
+    denominator, by the int ``floor(a * n**2 / b)`` alone, and queues the
+    int ``key * n + e``: entries pop in (exact value, edge id) order, the
+    infinities included."""
 
     @PROPERTY_SETTINGS
     @given(plain_pairs())
@@ -391,10 +393,9 @@ class TestPlainKeys:
             sign = -1 if objective is Objective.MAXIMIZE else 1
             ranks = {t.node_id(h): _reference_rank(sign * a, b, 1) for h, a, b in heads}
             entries = list(state._heap)
-            for _, tie, e, _ in entries:
-                assert tie == (None if ranks[e][0] else 0)  # class 0: finite
+            assert all(type(entry) is int for entry in entries)
             heapq.heapify(entries)
-            popped = [heapq.heappop(entries)[2] for _ in heads]
+            popped = [heapq.heappop(entries) % t.node_count for _ in heads]
             assert popped == sorted(ranks, key=lambda e: (ranks[e], e))
 
 
@@ -403,7 +404,7 @@ class TestOrderingInternals:
     @given(oriented_values())
     def test_heap_entries_order_by_exact_value_then_edge_id(self, case):
         scale, items = case
-        entries = [(*_heap_key(num, den * scale), e, 0) for e, (num, den) in enumerate(items)]
+        entries = [(*_heap_key(num, den * scale), e) for e, (num, den) in enumerate(items)]
         expected = sorted(range(len(items)), key=lambda e: (_reference_rank(*items[e], scale), e))
         assert [entry[2] for entry in sorted(entries)] == expected
         heapq.heapify(entries)
